@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): throughput of the primitives the
 // experiment pipeline is built from — address parse/format, LPM trie,
-// universe probing, space-tree construction, per-TGA generation, and the
-// scanner loop.
+// universe probing, space-tree construction, per-TGA model building and
+// generation (at 5,000 seeds and at the sweep's 250,000), and the scanner
+// loop.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -122,10 +123,45 @@ void BM_SpaceTreeBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_SpaceTreeBuild)->Arg(1000)->Arg(10000);
 
+/// `n` addresses spread evenly over the default Workbench's full seed
+/// list — the All row of the paper sweep (253,686 seeds), so that at the
+/// largest size the TGAs see the region counts the sweep gives them.
+std::vector<Ipv6Addr> sweep_seeds(std::size_t n) {
+  static v6::experiment::Workbench bench;
+  const auto& full = bench.full();
+  std::vector<Ipv6Addr> seeds;
+  seeds.reserve(n);
+  const std::size_t stride = std::max<std::size_t>(1, full.size() / n);
+  for (std::size_t i = 0; i < full.size() && seeds.size() < n; i += stride) {
+    seeds.push_back(full[i]);
+  }
+  return seeds;
+}
+
+/// Args: TGA index, seed count.
+void BM_TgaPrepare(benchmark::State& state) {
+  const auto kind =
+      v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];
+  const auto seeds = sweep_seeds(static_cast<std::size_t>(state.range(1)));
+  auto generator = v6::tga::make_generator(kind);
+  state.SetLabel(std::string(v6::tga::to_string(kind)));
+  for (auto _ : state) {
+    generator->prepare(seeds, 11);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(seeds.size()));
+}
+BENCHMARK(BM_TgaPrepare)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, v6::tga::kNumTgas - 1, 1),
+                   {5'000, 250'000}})
+    ->Unit(benchmark::kMillisecond);
+
+/// Args: TGA index, seed count.
 void BM_TgaGenerate(benchmark::State& state) {
   const auto kind =
       v6::tga::kAllTgas[static_cast<std::size_t>(state.range(0))];
-  const auto seeds = sample_seeds(5000);
+  const auto seeds = sweep_seeds(static_cast<std::size_t>(state.range(1)));
   auto generator = v6::tga::make_generator(kind);
   generator->prepare(seeds, 11);
   state.SetLabel(std::string(v6::tga::to_string(kind)));
@@ -140,7 +176,9 @@ void BM_TgaGenerate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 1024);
 }
-BENCHMARK(BM_TgaGenerate)->DenseRange(0, v6::tga::kNumTgas - 1);
+BENCHMARK(BM_TgaGenerate)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, v6::tga::kNumTgas - 1, 1),
+                   {5'000, 250'000}});
 
 void BM_ScannerScan(benchmark::State& state) {
   const auto& universe = small_universe();

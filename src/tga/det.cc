@@ -9,6 +9,7 @@ using v6::net::Ipv6Addr;
 
 void Det::reset_model() {
   regions_.clear();
+  ranked_.clear();
   pending_.clear();
   total_emitted_ = 0;
   SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
@@ -20,6 +21,7 @@ void Det::reset_model() {
     region.cursor = RegionCursor(r.base, r.free);
     region.seed_mass = static_cast<double>(r.seed_count);
     regions_.push_back(std::move(region));
+    rank(static_cast<std::uint32_t>(regions_.size() - 1));
   }
 }
 
@@ -41,19 +43,14 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
 
   std::size_t consecutive_failures = 0;
   while (out.size() < n && consecutive_failures < regions_.size() + 8) {
-    // Select the best-scoring region (linear scan; region counts are in
-    // the tens of thousands at most).
-    std::size_t best = 0;
-    double best_score = -2.0;
-    for (std::size_t i = 0; i < regions_.size(); ++i) {
-      const double s = score(regions_[i]);
-      if (s > best_score) {
-        best_score = s;
-        best = i;
-      }
-    }
+    if (ranked_.empty()) break;  // every region is dead
+    // At fixed emitted, score() grows strictly with seed_mass: masses are
+    // seed counts plus multiples of hit_weight, far apart at double
+    // precision. So the bucket leaders hold the linear argmax.
+    const std::uint32_t best = ranked_.best(
+        [this](std::uint32_t i) { return score(regions_[i]); });
     Region& region = regions_[best];
-    if (region.dead) break;  // every region is dead
+    unrank(best);
 
     std::uint64_t taken = 0;
     while (taken < options_.chunk && out.size() < n) {
@@ -67,10 +64,11 @@ std::vector<Ipv6Addr> Det::next_batch(std::size_t n) {
       ++region.emitted;
       ++total_emitted_;
       if (emit(*addr, out)) {
-        pending_.emplace(*addr, static_cast<std::uint32_t>(best));
+        pending_.emplace(*addr, best);
         ++taken;
       }
     }
+    if (!region.dead) rank(best);
     consecutive_failures = taken == 0 ? consecutive_failures + 1 : 0;
   }
   return out;
@@ -80,7 +78,10 @@ void Det::observe(const Ipv6Addr& addr, bool active) {
   const auto it = pending_.find(addr);
   if (it == pending_.end()) return;
   if (active) {
+    const bool live = !regions_[it->second].dead;
+    if (live) unrank(it->second);  // re-key under the new seed_mass
     regions_[it->second].seed_mass += options_.hit_weight;
+    if (live) rank(it->second);
   }
   pending_.erase(it);
 }

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "tga/region_select.h"
 #include "tga/space_tree.h"
 #include "tga/target_generator.h"
 
@@ -46,9 +47,16 @@ class Det final : public TargetGeneratorBase {
   };
 
   double score(const Region& r) const;
+  void rank(std::uint32_t index) {
+    ranked_.insert(index, regions_[index].emitted, regions_[index].seed_mass);
+  }
+  void unrank(std::uint32_t index) {
+    ranked_.erase(index, regions_[index].emitted, regions_[index].seed_mass);
+  }
 
   Options options_;
   std::vector<Region> regions_;
+  EmittedBuckets ranked_;  // live regions only
   std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::uint64_t total_emitted_ = 0;
 };

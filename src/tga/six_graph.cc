@@ -1,9 +1,11 @@
 #include "tga/six_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
+
+#include "net/rng.h"
 
 namespace v6::tga {
 
@@ -40,29 +42,108 @@ class UnionFind {
   std::vector<std::uint32_t> size_;
 };
 
-/// Key identifying a leaf pattern with one extra position wildcarded:
-/// the base address (free + wildcard positions zeroed) and the bitmask of
-/// wildcarded positions.
-struct PatternKey {
-  Ipv6Addr base;
-  std::uint64_t free_mask;
-  bool operator==(const PatternKey&) const = default;
-};
-
-struct PatternKeyHash {
-  std::size_t operator()(const PatternKey& k) const noexcept {
-    return v6::net::Ipv6AddrHash{}(k.base) ^
-           (k.free_mask * 0x9E3779B97F4A7C15ULL);
-  }
-};
-
-std::uint64_t free_mask_of(const std::vector<int>& free) {
-  std::uint64_t m = 0;
-  for (const int pos : free) m |= 1ULL << pos;
+std::uint32_t free_mask_of(const std::vector<int>& free) {
+  std::uint32_t m = 0;
+  for (const int pos : free) m |= 1u << pos;
   return m;
 }
 
 }  // namespace
+
+std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
+    std::span<const TreeRegion> leaves) {
+  static_assert(Ipv6Addr::kNybbles <= 32, "nybble masks are 32-bit");
+  constexpr std::uint32_t kNone = ~0u;
+
+  // One key per (tight leaf, fixed position): the leaf's pattern with
+  // that position wildcarded. Only tight leaves participate in pattern
+  // mining: a leaf with many free dimensions is noise, and merging
+  // through it would fuse unrelated patterns into one dilute cluster.
+  struct Keyed {
+    Ipv6Addr base;       // free and wildcard nybbles zeroed
+    std::uint32_t mask;  // free and wildcard positions
+    std::uint32_t leaf;
+    auto operator<=>(const Keyed&) const = default;
+  };
+  const auto for_each_key = [&](auto&& visit) {
+    for (std::uint32_t li = 0; li < leaves.size(); ++li) {
+      const TreeRegion& leaf = leaves[li];
+      if (leaf.free.size() > 2) continue;
+      const std::uint32_t free_mask = free_mask_of(leaf.free);
+      for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
+        if ((free_mask >> pos) & 1) continue;
+        visit(Keyed{leaf.base.with_nybble(pos, 0), free_mask | (1u << pos),
+                    li});
+      }
+    }
+  };
+
+  // Sort the keys so that equal keys are adjacent, each key's lowest
+  // leaf first. Most keys are unique, so a counting sort on a hash of
+  // the key first splits them into cache-sized buckets (equal keys share
+  // a bucket), and only the buckets are sorted.
+  std::size_t total = 0;
+  for (const TreeRegion& leaf : leaves) {
+    if (leaf.free.size() <= 2) total += Ipv6Addr::kNybbles - leaf.free.size();
+  }
+  const int bucket_bits =
+      std::max(1, static_cast<int>(std::bit_width(total / 128)));
+  const auto bucket_of = [bucket_bits](const Keyed& k) {
+    const std::uint64_t h = v6::net::splitmix64(
+        k.base.hi() ^ v6::net::splitmix64(k.base.lo() ^ k.mask));
+    return static_cast<std::size_t>(h >> (64 - bucket_bits));
+  };
+  std::vector<std::uint32_t> bucket_start((std::size_t{1} << bucket_bits) + 1);
+  for_each_key([&](const Keyed& k) { ++bucket_start[bucket_of(k) + 1]; });
+  std::partial_sum(bucket_start.begin(), bucket_start.end(),
+                   bucket_start.begin());
+  std::vector<Keyed> keyed(total);
+  std::vector<std::uint32_t> fill(bucket_start.begin(), bucket_start.end() - 1);
+  for_each_key([&](const Keyed& k) { keyed[fill[bucket_of(k)]++] = k; });
+  for (std::size_t b = 0; b + 1 < bucket_start.size(); ++b) {
+    std::sort(keyed.begin() + bucket_start[b],
+              keyed.begin() + bucket_start[b + 1]);
+  }
+
+  // Leaves sharing a key are connected (an edge in 6Graph's
+  // pattern-similarity graph): each joins the key's lowest leaf. A key
+  // can arise at different positions of different leaves, so groups span
+  // positions. The capped unite depends on call order, so the unites run
+  // in (leaf, position) order, the order of a single pass over leaves.
+  struct Edge {
+    std::uint32_t leaf;
+    int pos;
+    std::uint32_t holder;
+    auto operator<=>(const Edge&) const = default;
+  };
+  std::vector<Edge> edges;
+  for (std::size_t i = 1, first = 0; i < keyed.size(); ++i) {
+    if (keyed[i].base != keyed[first].base ||
+        keyed[i].mask != keyed[first].mask) {
+      first = i;
+      continue;
+    }
+    const std::uint32_t leaf = keyed[i].leaf;
+    const std::uint32_t wildcard =
+        keyed[i].mask & ~free_mask_of(leaves[leaf].free);
+    edges.push_back({leaf, std::countr_zero(wildcard), keyed[first].leaf});
+  }
+  std::sort(edges.begin(), edges.end());
+  UnionFind uf(leaves.size());
+  for (const Edge& e : edges) uf.unite(e.holder, e.leaf, /*cap=*/16);
+
+  std::vector<std::uint32_t> component_of_root(leaves.size(), kNone);
+  std::vector<std::vector<std::uint32_t>> components;
+  for (std::uint32_t li = 0; li < leaves.size(); ++li) {
+    std::uint32_t& component = component_of_root[uf.find(li)];
+    if (component == kNone) {
+      component = static_cast<std::uint32_t>(components.size());
+      components.emplace_back();
+    }
+    components[component].push_back(li);
+  }
+  return components;
+}
 
 void SixGraph::reset_model() {
   clusters_.clear();
@@ -74,35 +155,12 @@ void SixGraph::reset_model() {
   const auto leaves = tree.regions();
   if (leaves.empty()) return;
 
-  // Connect leaves that agree on their pattern once any single fixed
-  // nybble is wildcarded (an edge in 6Graph's pattern-similarity graph).
-  UnionFind uf(leaves.size());
-  std::unordered_map<PatternKey, std::uint32_t, PatternKeyHash> first_with_key;
-  for (std::uint32_t li = 0; li < leaves.size(); ++li) {
-    const TreeRegion& leaf = leaves[li];
-    // Only tight leaves participate in pattern mining: a leaf with many
-    // free dimensions is noise, and merging through it would fuse
-    // unrelated patterns into one dilute cluster.
-    if (leaf.free.size() > 2) continue;
-    const std::uint64_t base_mask = free_mask_of(leaf.free);
-    for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
-      if (base_mask & (1ULL << pos)) continue;
-      PatternKey key{leaf.base.with_nybble(pos, 0),
-                     base_mask | (1ULL << pos)};
-      const auto [it, inserted] = first_with_key.emplace(key, li);
-      if (!inserted) uf.unite(it->second, li, /*cap=*/16);
-    }
-  }
-
   // Materialize components into pattern clusters. A cluster's pattern
   // wildcards (a) the members' free dimensions over the full nybble range
   // and (b) the positions where member bases differ over the *observed*
   // values only — 6Graph expands mined patterns, it does not enumerate
   // blind space between them.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> components;
-  for (std::uint32_t li = 0; li < leaves.size(); ++li) {
-    components[uf.find(li)].push_back(li);
-  }
+  const auto components = mine_pattern_clusters(leaves);
 
   struct Scored {
     Cluster cluster;
@@ -113,8 +171,7 @@ void SixGraph::reset_model() {
   scored.reserve(components.size());
   // Every component lands in `scored`, later sorted by (density, base)
   // — a total order since bases are distinct per component.
-  // v6lint: allow(unordered-iteration)
-  for (const auto& [root, members] : components) {
+  for (const std::vector<std::uint32_t>& members : components) {
     // Union of free positions; observed values at differing positions.
     std::uint64_t free_mask = 0;
     std::array<std::uint16_t, Ipv6Addr::kNybbles> value_bits{};

@@ -7,12 +7,23 @@
 // address space is enumerated densest-cluster first.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tga/space_tree.h"
 #include "tga/target_generator.h"
 
 namespace v6::tga {
+
+/// 6Graph's pattern mining over space-tree leaves: two leaves with at
+/// most two free nybbles each are connected when their patterns agree
+/// once one more fixed nybble is wildcarded, and connected leaves merge
+/// into components of at most 16 leaves. Returns every leaf's component
+/// (a leaf that joins none is alone in its own), members ascending,
+/// components ordered by their lowest member.
+std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
+    std::span<const TreeRegion> leaves);
 
 class SixGraph final : public TargetGeneratorBase {
  public:

@@ -25,6 +25,17 @@ void SixHit::build_tree(const std::vector<Ipv6Addr>& from) {
         0.2 + (max_density > 0 ? 0.3 * r.density / max_density : 0.0);
     regions_.push_back(std::move(region));
   }
+  by_q_.assign(regions_.size());
+  for (std::uint32_t i = 0; i < regions_.size(); ++i) update_rank(i);
+}
+
+void SixHit::update_rank(std::uint32_t index) {
+  const Region& region = regions_[index];
+  if (region.dead) {
+    by_q_.remove(index);
+  } else {
+    by_q_.set(index, region.q);
+  }
 }
 
 void SixHit::reset_model() {
@@ -68,15 +79,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
     if (v6::net::chance(rng_, options_.epsilon)) {
       pick = v6::net::uniform_int<std::size_t>(rng_, 0, regions_.size() - 1);
     } else {
-      pick = 0;
-      double best = -1.0;
-      for (std::size_t i = 0; i < regions_.size(); ++i) {
-        if (regions_[i].dead) continue;
-        if (regions_[i].q > best) {
-          best = regions_[i].q;
-          pick = i;
-        }
-      }
+      pick = by_q_.best(/*fallback=*/0);  // first live region of max q
     }
     Region& region = regions_[pick];
     if (region.dead) {
@@ -94,6 +97,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
           // selection moves on unless feedback re-confirms it.
           region.q *= 0.5;
         }
+        update_rank(static_cast<std::uint32_t>(pick));
         break;
       }
       if (emit(*addr, out)) {
@@ -112,6 +116,7 @@ void SixHit::observe(const Ipv6Addr& addr, bool active) {
   Region& region = regions_[it->second];
   const double reward = active ? 1.0 : 0.0;
   region.q += options_.learning_rate * (reward - region.q);
+  update_rank(it->second);
   if (active) {
     discovered_.push_back(addr);
     ++hits_since_rebuild_;

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "tga/region_select.h"
 #include "tga/space_tree.h"
 #include "tga/target_generator.h"
 
@@ -51,9 +52,12 @@ class SixHit final : public TargetGeneratorBase {
   };
 
   void build_tree(const std::vector<v6::net::Ipv6Addr>& from);
+  /// Mirrors regions_[index]'s q (or its death) into by_q_.
+  void update_rank(std::uint32_t index);
 
   Options options_;
   std::vector<Region> regions_;
+  MaxTree by_q_;  // live regions' q
   std::unordered_map<v6::net::Ipv6Addr, std::uint32_t> pending_;
   std::vector<v6::net::Ipv6Addr> discovered_;
   std::uint64_t hits_since_rebuild_ = 0;

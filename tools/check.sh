@@ -22,9 +22,12 @@
 # bench_serve's snapshot-consistency checks under concurrent refresh,
 # plus bench_scale's flat-RSS and procedural/materialized equivalence
 # gates at 1M-vs-12M hosts — docs/SCALE.md),
-# and the continuous-service suite (`ctest -L service`: the hitlist
+# the continuous-service suite (`ctest -L service`: the hitlist
 # store, incremental TGA, scheduler/bandit, and epoch bit-identity
-# tests from docs/SERVICE.md).
+# tests from docs/SERVICE.md), and the TGA suites (`ctest -L tga`: the
+# generator contract, behavior and structure tests under tests/tga/
+# plus the golden_tga_streams golden — the layer that dominates the
+# paper sweep's time).
 #
 # Faults mode (`tools/check.sh --faults`) runs only the fault-injection
 # suite (`ctest -L fault`) under every preset — the focused loop when
@@ -64,7 +67,7 @@ while [[ $# -gt 0 ]]; do
     --jobs) jobs="$2"; shift ;;
     --jobs=*) jobs="${1#--jobs=}" ;;
     -h|--help)
-      sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "error: unknown flag '$1' (try --help)" >&2; exit 2 ;;
@@ -104,7 +107,8 @@ if [[ $quick -eq 1 ]]; then
   run ctest --test-dir build -L report --output-on-failure -j "$jobs"
   run ctest --test-dir build -L bench --output-on-failure -j "$jobs"
   run ctest --test-dir build -L service --output-on-failure -j "$jobs"
-  echo "check.sh --quick: OK (Release build + lint + LINT_REPORT.json + fuzz + report + bench + service smoke)"
+  run ctest --test-dir build -L tga --output-on-failure -j "$jobs"
+  echo "check.sh --quick: OK (Release build + lint + LINT_REPORT.json + fuzz + report + bench + service + tga smoke)"
   exit 0
 fi
 
