@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -64,8 +65,14 @@ TEST(Ipv6Addr, ParseStripsZoneSuffix) {
 }
 
 struct BadInput {
+  const char* name;
   const char* text;
 };
+
+// Prints the case name: gtest would otherwise print the raw bytes of the
+// struct, a pointer that changes from run to run, and the ctest names
+// derived from that printout would never be the same twice.
+void PrintTo(const BadInput& in, std::ostream* os) { *os << in.name; }
 
 class Ipv6ParseRejects : public ::testing::TestWithParam<BadInput> {};
 
@@ -76,16 +83,17 @@ TEST_P(Ipv6ParseRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, Ipv6ParseRejects,
-    ::testing::Values(BadInput{""}, BadInput{":"}, BadInput{":::"},
-                      BadInput{"1:2:3:4:5:6:7"},          // too few groups
-                      BadInput{"1:2:3:4:5:6:7:8:9"},      // too many groups
-                      BadInput{"1::2::3"},                // two gaps
-                      BadInput{"12345::"},                // >4 digits
-                      BadInput{"g::1"},                   // bad hex
-                      BadInput{"1:2:3:4:5:6:7:"},         // trailing colon
-                      BadInput{"2001:db8"},               // incomplete
-                      BadInput{"1:2:3:4:5:6:7:8:"},       // trailing colon
-                      BadInput{"hello"}));
+    ::testing::Values(BadInput{"Empty", ""}, BadInput{"LoneColon", ":"},
+                      BadInput{"TripleColon", ":::"},
+                      BadInput{"TooFewGroups", "1:2:3:4:5:6:7"},
+                      BadInput{"TooManyGroups", "1:2:3:4:5:6:7:8:9"},
+                      BadInput{"TwoGaps", "1::2::3"},
+                      BadInput{"FiveHexDigits", "12345::"},
+                      BadInput{"BadHex", "g::1"},
+                      BadInput{"TrailingColonAfter7", "1:2:3:4:5:6:7:"},
+                      BadInput{"Incomplete", "2001:db8"},
+                      BadInput{"TrailingColonAfter8", "1:2:3:4:5:6:7:8:"},
+                      BadInput{"NotAnAddress", "hello"}));
 
 TEST(Ipv6Addr, MustParseThrowsOnBadInput) {
   EXPECT_THROW(Ipv6Addr::must_parse("nope"), std::invalid_argument);
