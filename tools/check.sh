@@ -27,7 +27,10 @@
 # tests from docs/SERVICE.md), and the TGA suites (`ctest -L tga`: the
 # generator contract, behavior and structure tests under tests/tga/
 # plus the golden_tga_streams golden — the layer that dominates the
-# paper sweep's time).
+# paper sweep's time), and the shard suites (`ctest -L shard`: the
+# walk's coverage/disjointness tests, the stream scanner's cross-shard
+# bit-identity, the service's epoch shard tests, and the
+# golden_stream_shards golden of faulted per-lane runs).
 #
 # Faults mode (`tools/check.sh --faults`) runs only the fault-injection
 # suite (`ctest -L fault`) under every preset — the focused loop when
@@ -67,7 +70,7 @@ while [[ $# -gt 0 ]]; do
     --jobs) jobs="$2"; shift ;;
     --jobs=*) jobs="${1#--jobs=}" ;;
     -h|--help)
-      sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) echo "error: unknown flag '$1' (try --help)" >&2; exit 2 ;;
@@ -108,7 +111,8 @@ if [[ $quick -eq 1 ]]; then
   run ctest --test-dir build -L bench --output-on-failure -j "$jobs"
   run ctest --test-dir build -L service --output-on-failure -j "$jobs"
   run ctest --test-dir build -L tga --output-on-failure -j "$jobs"
-  echo "check.sh --quick: OK (Release build + lint + LINT_REPORT.json + fuzz + report + bench + service + tga smoke)"
+  run ctest --test-dir build -L shard --output-on-failure -j "$jobs"
+  echo "check.sh --quick: OK (Release build + lint + LINT_REPORT.json + fuzz + report + bench + service + tga + shard smoke)"
   exit 0
 fi
 
