@@ -1,7 +1,7 @@
 // Shared configuration validation (the satellite of the ScanSession /
 // service redesign that unified the three hand-rolled bounds checks).
 //
-// Every public config struct — PipelineConfig, SweepSpec/ScanSession,
+// Every public config struct — PipelineConfig, ScanSession,
 // StreamScanOptions, service::ServiceConfig — exposes a `validate()`
 // built from the helpers below, so an invalid config fails identically
 // everywhere: a ConfigError whose message is always
@@ -62,10 +62,6 @@ class Validator {
   /// Probability-like field: must lie in [0, 1].
   void unit_interval(double value, std::string_view field) const {
     require(value >= 0.0 && value <= 1.0, field, "must be in [0, 1]");
-  }
-  template <typename T>
-  void not_null(const T* pointer, std::string_view field) const {
-    require(pointer != nullptr, field, "is required (must not be null)");
   }
 
  private:

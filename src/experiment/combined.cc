@@ -34,7 +34,6 @@ CombinedResult run_combined(
   }
   v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
                              {.max_retries = config.scan_retries,
-                              .randomize_order = true,
                               .max_pps = config.max_pps,
                               .seed = config.seed,
                               .telemetry = config.telemetry});
@@ -44,9 +43,7 @@ CombinedResult run_combined(
 
   for (std::size_t g = 0; g < generators.size(); ++g) {
     generators[g]->prepare(seeds, config.seed + g);
-    if (config.attach_online_dealiaser) {
-      generators[g]->attach_online_dealiaser(&online, config.type);
-    }
+    generators[g]->attach_online_dealiaser(&online, config.type);
   }
 
   // Addresses already scanned in an earlier round (and their verdicts):

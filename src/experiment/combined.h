@@ -30,7 +30,6 @@ struct CombinedConfig {
   std::uint64_t batch_size = 10'000;
   v6::net::ProbeType type = v6::net::ProbeType::kIcmp;
   bool filter_dense = true;
-  bool attach_online_dealiaser = true;
   std::uint64_t seed = 42;
   int scan_retries = 1;
   double max_pps = 10'000.0;

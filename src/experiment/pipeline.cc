@@ -5,6 +5,7 @@
 
 #include "check/contracts.h"
 #include "check/validate.h"
+#include "dealias/dealiaser.h"
 #include "dealias/online_dealiaser.h"
 #include "fault/faulty_transport.h"
 #include "net/rng.h"
@@ -78,7 +79,6 @@ v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
 
   const v6::probe::ScanOptions scan_options{
       .max_retries = config.scan_retries,
-      .randomize_order = true,
       .max_pps = config.max_pps,
       .seed = config.seed,
       .telemetry = telemetry,
@@ -123,16 +123,14 @@ v6::metrics::ScanOutcome run_tga(const v6::simnet::Universe& universe,
     }
   }
   v6::dealias::OnlineDealiaser online(*transport, config.seed);
-  v6::dealias::Dealiaser dealiaser(config.output_dealias, &offline_aliases,
-                                   &online);
+  v6::dealias::Dealiaser dealiaser(v6::dealias::DealiasMode::kJoint,
+                                   &offline_aliases, &online);
 
   {
     v6::obs::Span span(telemetry, "pipeline.prepare");
     generator.prepare(seeds, config.seed);
   }
-  if (config.attach_online_dealiaser) {
-    generator.attach_online_dealiaser(&online, config.type);
-  }
+  generator.attach_online_dealiaser(&online, config.type);
 
   std::vector<Ipv6Addr> actives;
   while (outcome.generated < config.budget) {

@@ -10,7 +10,6 @@
 #include "dealias/alias_list.h"
 #include "fault/fault_plan.h"
 #include "probe/blocklist.h"
-#include "dealias/dealiaser.h"
 #include "metrics/scan_outcome.h"
 #include "net/ipv6.h"
 #include "net/service.h"
@@ -39,11 +38,6 @@ struct PipelineConfig {
   v6::net::ProbeType type = v6::net::ProbeType::kIcmp;
   /// Remove AS12322-analogue addresses from ICMP metrics (paper §4.1).
   bool filter_dense = true;
-  /// Output dealiasing mode; the paper's pipeline always uses joint.
-  v6::dealias::DealiasMode output_dealias = v6::dealias::DealiasMode::kJoint;
-  /// Give generators with integrated online dealiasing (6Sense) access
-  /// to the online dealiaser during generation.
-  bool attach_online_dealiaser = true;
   std::uint64_t seed = 42;
   /// Scanner retransmissions after timeout.
   int scan_retries = 1;
@@ -52,7 +46,7 @@ struct PipelineConfig {
   /// golden-locked legacy path. >= 1 routes scans through the streaming
   /// StreamScanner (probe/stream_scanner.h) with that many shard
   /// workers: sharded cyclic iteration, stateless per-probe replies, and
-  /// a bounded producer→prober→receiver pipeline. Streaming outcomes
+  /// one ordered merge after the shards join. Streaming outcomes
   /// are shard-count-invariant but differ from the batch engine's for
   /// targets whose replies are stochastic (different RNG model; see
   /// docs/SCANNER.md).
@@ -88,8 +82,6 @@ struct PipelineConfig {
   PipelineConfig& with_batch_size(std::uint64_t v) { batch_size = v; return *this; }
   PipelineConfig& with_type(v6::net::ProbeType v) { type = v; return *this; }
   PipelineConfig& with_filter_dense(bool v) { filter_dense = v; return *this; }
-  PipelineConfig& with_output_dealias(v6::dealias::DealiasMode v) { output_dealias = v; return *this; }
-  PipelineConfig& with_attach_online_dealiaser(bool v) { attach_online_dealiaser = v; return *this; }
   PipelineConfig& with_seed(std::uint64_t v) { seed = v; return *this; }
   PipelineConfig& with_scan_retries(int v) { scan_retries = v; return *this; }
   PipelineConfig& with_max_pps(double v) { max_pps = v; return *this; }

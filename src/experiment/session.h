@@ -19,12 +19,9 @@
 // Universe plus its own freshly-seeded state, every output slot is
 // pre-assigned, and per-run telemetry is merged in slot order.
 //
-// The continuous service (src/service) builds on the same object model:
-// HitlistService holds a session-shaped binding (universe + alias list
-// + telemetry) for the lifetime of the daemon and drives refresh scans
-// through it. The legacy spelling `run_sweep(SweepSpec)` survives as a
-// [[deprecated]] forwarder in experiment/runner.h with zero in-tree
-// callers (v6lint `deprecated-api` enforces that).
+// The continuous service (src/service) does not go through a session:
+// HitlistService drives its refresh scans with a probe::StreamScanner
+// of its own, one per cycle, over the universe it borrows.
 #pragma once
 
 #include <span>

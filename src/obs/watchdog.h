@@ -1,7 +1,7 @@
 // StallWatchdog: per-stage progress heartbeats with a wall-clock
 // deadline, the liveness half of the introspection plane.
 //
-// A pipeline stage (StreamScanner's producer/prober/receiver loops, the
+// A stage (StreamScanner's per-shard prober and calling-thread loops, the
 // HitlistService refresh cycle) registers a named Heartbeat and beats it
 // every unit of progress — one relaxed atomic increment, cheap enough
 // for per-batch call sites. A monitor thread (spawned through
@@ -73,6 +73,27 @@ class Heartbeat {
   std::atomic<std::uint64_t> beats_{0};
   std::atomic<std::int64_t> armed_at_nanos_{0};
   std::atomic<bool> armed_{false};
+};
+
+/// Arms a (possibly null) heartbeat for a scope and disarms it on every
+/// exit path, so a stage is never considered stalled between runs.
+class ArmedHeartbeat {
+ public:
+  explicit ArmedHeartbeat(Heartbeat* heartbeat) : heartbeat_(heartbeat) {
+    if (heartbeat_ != nullptr) heartbeat_->arm();
+  }
+  ~ArmedHeartbeat() {
+    if (heartbeat_ != nullptr) heartbeat_->disarm();
+  }
+  ArmedHeartbeat(const ArmedHeartbeat&) = delete;
+  ArmedHeartbeat& operator=(const ArmedHeartbeat&) = delete;
+
+  void beat() {
+    if (heartbeat_ != nullptr) heartbeat_->beat();
+  }
+
+ private:
+  Heartbeat* heartbeat_;
 };
 
 class StallWatchdog {

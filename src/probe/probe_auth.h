@@ -1,6 +1,6 @@
 // Stateless probe validation (docs/SCANNER.md): the prober embeds a
 // splitmix64 MAC over (addr, seed) in every probe it emits, and the
-// receiver recomputes it from the reply's address alone — no shared
+// receive side recomputes it from the reply's address alone — no shared
 // pending-map, no per-probe state on the receive path. A reply whose
 // token fails validation is counted and dropped instead of classified
 // (the live-scanning analogue: a spoofed or stale packet that does not

@@ -128,9 +128,7 @@ ScanStats Scanner::scan(std::span<const Ipv6Addr> targets, ProbeType type,
       }
     }
   }
-  if (options_.randomize_order) {
-    std::shuffle(unique.begin(), unique.end(), shuffle_rng_);
-  }
+  std::shuffle(unique.begin(), unique.end(), shuffle_rng_);
 
   const std::uint64_t packets_before = transport_->packets_sent();
   const double vtime_before = limiter_.virtual_now();

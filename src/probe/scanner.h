@@ -25,8 +25,9 @@
 namespace v6::probe {
 
 /// Scanner configuration. Defaults story: a default-constructed
-/// ScanOptions is the paper's regular scan — 1 retry, shuffled order,
-/// 10K pps, seed 0, uninstrumented. Override with designated
+/// ScanOptions is the paper's regular scan — 1 retry, 10K pps, seed 0,
+/// uninstrumented. Targets are always probed in a seeded shuffled order
+/// (paper Appendix A). Override with designated
 /// initializers or the fluent `with_*` chain:
 ///
 ///   Scanner s(transport, nullptr, ScanOptions{}.with_seed(7).with_retries(3));
@@ -34,8 +35,6 @@ struct ScanOptions {
   /// Extra transmissions after a timeout (paper uses 3 packet retries for
   /// dealiasing probes; regular scan probes use 1 retry).
   int max_retries = 1;
-  /// Shuffle target order before probing (paper Appendix A).
-  bool randomize_order = true;
   /// Sustained packet rate; drives the virtual clock only.
   double max_pps = 10000.0;
   /// Seed for shuffle order (and nothing else).
@@ -73,7 +72,6 @@ struct ScanOptions {
   int adaptive_prefix_len = 48;
 
   ScanOptions& with_retries(int v) { max_retries = v; return *this; }
-  ScanOptions& with_randomize_order(bool v) { randomize_order = v; return *this; }
   ScanOptions& with_max_pps(double v) { max_pps = v; return *this; }
   ScanOptions& with_seed(std::uint64_t v) { seed = v; return *this; }
   ScanOptions& with_telemetry(v6::obs::Telemetry* t) { telemetry = t; return *this; }

@@ -17,11 +17,12 @@
 // ((a₁,c₁)∘(a₂,c₂) = (a₁a₂, a₁c₂ + c₁) for "apply f₂ then f₁") — so each
 // shard advances with one multiply-add per step regardless of S.
 //
-// The emitted cycle position `pos` is the global sort key: it depends
-// only on (n, seed), never on the shard count, and single-shard
-// iteration emits positions in increasing order. Sorting any shard
-// merge by pos therefore reproduces the 1-shard order bit-for-bit —
-// the determinism contract the streaming scanner's receiver relies on.
+// The emitted cycle position `pos` is the global order key: it depends
+// only on (n, seed), never on the shard count, and every shard emits
+// its positions in increasing order. Replaying the single-shard walk
+// and taking shard (pos mod S)'s next item at each step therefore
+// reproduces the 1-shard order bit-for-bit — the determinism contract
+// the streaming scanner's merge relies on.
 //
 // Known (and accepted) structure: an affine map mod 2^k has short-period
 // low bits, so consecutive indices alternate parity. The walk is a scan

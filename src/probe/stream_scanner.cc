@@ -1,12 +1,12 @@
 #include "probe/stream_scanner.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "check/contracts.h"
 #include "check/validate.h"
@@ -17,7 +17,6 @@
 #include "probe/rate_limiter.h"
 #include "probe/shard_walk.h"
 #include "probe/stateless_transport.h"
-#include "runtime/bounded_queue.h"
 #include "runtime/worker_group.h"
 
 namespace v6::probe {
@@ -43,19 +42,13 @@ std::uint64_t probe_key(std::uint64_t base, const Ipv6Addr& addr,
          attempt;
 }
 
-/// Arms a stage heartbeat for a scan and disarms it on every exit path
-/// (a disarmed stage is never considered stalled between scans).
-struct ArmedStage {
-  v6::obs::Heartbeat* heartbeat;
-  explicit ArmedStage(v6::obs::Heartbeat* hb) : heartbeat(hb) {
-    if (heartbeat != nullptr) heartbeat->arm();
-  }
-  ~ArmedStage() {
-    if (heartbeat != nullptr) heartbeat->disarm();
-  }
-  void beat() {
-    if (heartbeat != nullptr) heartbeat->beat();
-  }
+/// What a prober keeps per probed target: the stateless MAC the merge
+/// validates, and the final reply. The target itself is implied by the
+/// record's slot in its shard's walk, so no address or position is
+/// stored.
+struct ReplyRecord {
+  std::uint64_t token = 0;
+  ProbeReply reply = ProbeReply::kTimeout;
 };
 
 }  // namespace
@@ -107,49 +100,10 @@ struct StreamScanner::Lane {
   std::uint64_t packets_before = 0;
 };
 
-namespace {
-
-/// A probe target in flight: the index into the caller's span plus its
-/// global cycle position (the canonical merge key).
-using TargetBatch = std::vector<ShardItem>;
-
-/// A classified wire event headed for the receiver. The token is the
-/// stateless MAC the receiver validates before classifying.
-struct ReplyRecord {
-  Ipv6Addr addr;
-  std::uint64_t pos = 0;
-  std::uint64_t token = 0;
-  ProbeReply reply = ProbeReply::kTimeout;
-};
-
-using ReplyBatch = std::vector<ReplyRecord>;
-
-/// Producer-side iterator: the seeded permutation walk, or a plain
-/// strided index walk when randomize_order is off (pos == index keeps
-/// the merge key meaningful either way).
-struct WalkAdapter {
-  std::optional<ShardWalk> perm;
-  std::uint64_t x = 0;
-  std::uint64_t n = 0;
-  std::uint64_t stride = 1;
-
-  bool next(ShardItem* out) {
-    if (perm.has_value()) return perm->next(out);
-    if (x >= n) return false;
-    out->index = x;
-    out->pos = x;
-    x += stride;
-    return true;
-  }
-};
-
-}  // namespace
-
 void StreamScanOptions::validate() const {
   const v6::check::Validator v("StreamScanOptions");
   v.positive(shards, "shards");
   v.positive(batch, "batch");
-  v.positive(queue_capacity, "queue_capacity");
   v.non_negative(scan.max_retries, "scan.max_retries");
   v.positive(scan.max_pps, "scan.max_pps");
   v.non_negative(scan.probe_timeout_s, "scan.probe_timeout_s");
@@ -289,19 +243,15 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
   v6::obs::Span span(options_.scan.telemetry, "scanner.scan");
   ScanStats stats;
   stats.targets = targets.size();
-  // Wall-side observability state: stage heartbeats for the watchdog
-  // and queue totals captured before the stage queues die. All of it
-  // feeds `.wall`-suffixed metrics, exempt from the shard/jobs
-  // determinism contract (docs/OBSERVABILITY.md).
+  // Wall-side observability: loop heartbeats for the watchdog and the
+  // scan's wall duration, exempt from the shard/jobs determinism
+  // contract (docs/OBSERVABILITY.md).
   v6::obs::StallWatchdog* const watchdog = options_.watchdog;
-  std::vector<v6::runtime::QueueTotals> target_totals;
-  v6::runtime::QueueTotals reply_totals;
-  bool have_queue_totals = false;
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Dedup on the caller thread: one flat-table pass marks the first
-  // occurrence of each address. The producer then streams indices with
-  // keep_[i] set — no uniquified copy of the target list is built.
+  // occurrence of each address. The walks then skip indices with
+  // keep_[i] unset — no uniquified copy of the target list is built.
   dedup_.clear();
   dedup_.reserve(targets.size());
   keep_.assign(targets.size(), 0);
@@ -329,23 +279,9 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
 
   // The permutation plan is a pure function of (n, seed), shared by all
   // walks; built once on the caller thread.
-  std::optional<ShardPlan> plan;
-  if (options_.scan.randomize_order) {
-    plan.emplace(targets.size(), options_.scan.seed);
-  }
-  auto make_walk = [&](unsigned shard) {
-    WalkAdapter walk;
-    if (plan.has_value()) {
-      walk.perm.emplace(*plan, shard, num_shards);
-    } else {
-      walk.x = shard;
-      walk.n = targets.size();
-      walk.stride = num_shards;
-    }
-    return walk;
-  };
+  const ShardPlan plan(targets.size(), options_.scan.seed);
 
-  // Classification fold: the only stage that touches ScanStats and the
+  // Classification fold: the only step that touches ScanStats and the
   // caller's callback. Runs on the caller thread in canonical
   // (cycle-position) order in both execution modes.
   auto classify = [&](const Ipv6Addr& addr, ProbeReply reply) {
@@ -366,21 +302,17 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
     if (on_reply) on_reply(addr, reply);
   };
 
-  if (num_shards == 1) {
-    // Degenerate pipeline: with one shard nothing can overlap, so the
-    // stages fuse into a single loop on the caller thread. The walk
-    // already emits in canonical pos order and no record ever crosses a
-    // thread boundary, so there is nothing to queue, tokenize, or merge
-    // — the queues, reply records, and stateless MACs below are the
-    // machinery of the multi-shard hand-off, not of the scan itself.
-    // bench_throughput's single-core gate holds this loop to the batch
-    // engine's per-probe cost, and the threaded merge must stay
-    // bit-identical to it (stream_scanner_test compares the two).
-    Lane& lane = *lanes_[0];
-    ArmedStage stage(watchdog != nullptr ? &watchdog->stage("stream.scan")
-                                         : nullptr);
-    WalkAdapter walk = make_walk(0);
+  // The loop body both modes share: walk shard `shard` of the cycle,
+  // skip duplicates and blocklisted targets, probe the rest on the
+  // shard's lane and hand each final reply to `on_reply`. Touches only
+  // that lane's state, so any one thread may run it per lane.
+  auto run_lane = [&](unsigned shard, v6::obs::Heartbeat* heartbeat,
+                      auto&& on_lane_reply) {
+    Lane& lane = *lanes_[shard];
+    v6::obs::ArmedHeartbeat stage(heartbeat);
+    ShardWalk walk(plan, shard, num_shards);
     ShardItem item;
+    std::size_t until_beat = options_.batch;
     while (walk.next(&item)) {
       if (keep_[item.index] == 0) continue;
       const Ipv6Addr& addr = targets[item.index];
@@ -391,226 +323,100 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
       const ProbeReply reply = lane_probe(lane, addr, type);
       note_reply(lane, addr, reply);
       ++lane.probed;
-      classify(addr, reply);
-      stage.beat();
+      on_lane_reply(addr, reply);
+      if (--until_beat == 0) {
+        stage.beat();
+        until_beat = options_.batch;
+      }
     }
+  };
+  v6::obs::Heartbeat* const scan_hb =
+      watchdog != nullptr ? &watchdog->stage("stream.scan") : nullptr;
+
+  if (num_shards == 1) {
+    // One shard walks in canonical order already: classify in place.
+    // bench_throughput's single-core gate holds this loop to the batch
+    // engine's per-probe cost, and the sharded merge must stay
+    // bit-identical to it (stream_scanner_test compares the two).
+    run_lane(0, scan_hb, classify);
   } else {
+    // S independent probers, one per shard, each appending to its own
+    // record vector; nothing is shared between them but read-only scan
+    // inputs.
     const std::uint64_t auth_key = probe_auth_key(options_.scan.seed);
-
-    // Prober stage: probes one target batch on `lane`, appending one
-    // authenticated ReplyRecord per probed address. Touches only the
-    // lane's own state — safe on any thread that owns the lane.
-    auto probe_batch = [&](Lane& lane, const TargetBatch& batch,
-                           ReplyBatch* out) {
-      for (const ShardItem& item : batch) {
-        const Ipv6Addr& addr = targets[item.index];
-        if (blocklist_ != nullptr && blocklist_->blocked(addr)) {
-          ++lane.blocked;
-          continue;
-        }
-        const ProbeReply reply = lane_probe(lane, addr, type);
-        note_reply(lane, addr, reply);
-        ++lane.probed;
-        out->push_back(ReplyRecord{addr, item.pos,
-                                   probe_token_keyed(addr, auth_key), reply});
+    std::vector<std::vector<ReplyRecord>> records(num_shards);
+    {
+      v6::runtime::WorkerGroup workers;
+      // join() can only rethrow one exception; route the rest through
+      // the telemetry sink (scanner.suppressed_errors counter + one
+      // kMessage each) instead of losing them silently.
+      if (v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
+          telemetry != nullptr) {
+        workers.on_suppressed(
+            [telemetry](std::size_t worker, const std::exception_ptr& error) {
+              telemetry->registry().counter("scanner.suppressed_errors").inc();
+              v6::obs::Event event;
+              event.kind = v6::obs::Event::Kind::kMessage;
+              event.path = "scanner.suppressed_error";
+              event.value = worker;
+              try {
+                std::rethrow_exception(error);
+              } catch (const std::exception& e) {
+                event.detail = e.what();
+              } catch (...) {
+                event.detail = "non-std exception";
+              }
+              telemetry->emit(event);
+            });
       }
-    };
-
-    struct ReplayRecord {
-      Ipv6Addr addr;
-      std::uint64_t pos = 0;
-      ProbeReply reply = ProbeReply::kTimeout;
-    };
-    std::vector<ReplayRecord> replay;
-    replay.reserve(unique_count);
-
-    // Receiver stage: validates tokens and folds a reply batch into the
-    // replay buffer. Runs on the caller thread.
-    auto absorb = [&](const ReplyBatch& batch) {
-      for (const ReplyRecord& record : batch) {
-        if (!validate_probe_keyed(record.addr, auth_key, record.token)) {
-          ++invalid_replies_;
-          continue;
-        }
-        replay.push_back(ReplayRecord{record.addr, record.pos, record.reply});
-      }
-    };
-
-    // Queues before workers: locals die in reverse order, so the worker
-    // group (which joins its threads) always outlives the queues.
-    std::vector<std::unique_ptr<v6::runtime::BoundedQueue<TargetBatch>>>
-        target_queues;
-    target_queues.reserve(num_shards);
-    for (unsigned s = 0; s < num_shards; ++s) {
-      target_queues.push_back(
-          std::make_unique<v6::runtime::BoundedQueue<TargetBatch>>(
-              options_.queue_capacity));
-    }
-    v6::runtime::BoundedQueue<ReplyBatch> reply_queue(options_.queue_capacity *
-                                                      num_shards);
-    std::atomic<unsigned> live_probers{num_shards};
-    // Stage heartbeats (armed inside each worker, disarmed on every exit
-    // path) and a live reply-queue depth gauge the receiver refreshes
-    // per batch, so an admin scrape mid-scan sees current backpressure.
-    v6::obs::Heartbeat* const producer_hb =
-        watchdog != nullptr ? &watchdog->stage("stream.producer") : nullptr;
-    v6::obs::Heartbeat* const receiver_hb =
-        watchdog != nullptr ? &watchdog->stage("stream.receiver") : nullptr;
-    std::vector<v6::obs::Heartbeat*> prober_hbs(num_shards, nullptr);
-    if (watchdog != nullptr) {
+      // About unique/S records each; the slack covers a shard's random
+      // surplus, which would otherwise regrow (and briefly double) its
+      // vector at the scan's peak.
+      const std::size_t per_shard =
+          unique_count / num_shards + unique_count / (64 * num_shards) + 256;
       for (unsigned s = 0; s < num_shards; ++s) {
-        prober_hbs[s] = &watchdog->stage("stream.prober." + std::to_string(s));
-      }
-    }
-    v6::obs::Gauge* reply_depth_gauge = nullptr;
-    if (v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
-        telemetry != nullptr) {
-      reply_depth_gauge =
-          &telemetry->registry().gauge("stream.queue.reply.depth.wall");
-    }
-    v6::runtime::WorkerGroup workers;
-    // join() can only rethrow one exception; route the rest through the
-    // telemetry sink (scanner.suppressed_errors counter + one kMessage
-    // each) instead of losing them silently.
-    if (v6::obs::Telemetry* const telemetry = options_.scan.telemetry;
-        telemetry != nullptr) {
-      workers.on_suppressed(
-          [telemetry](std::size_t worker, const std::exception_ptr& error) {
-            telemetry->registry().counter("scanner.suppressed_errors").inc();
-            v6::obs::Event event;
-            event.kind = v6::obs::Event::Kind::kMessage;
-            event.path = "scanner.suppressed_error";
-            event.value = worker;
-            try {
-              std::rethrow_exception(error);
-            } catch (const std::exception& e) {
-              event.detail = e.what();
-            } catch (...) {
-              event.detail = "non-std exception";
-            }
-            telemetry->emit(event);
+        v6::obs::Heartbeat* const prober_hb =
+            watchdog != nullptr
+                ? &watchdog->stage("stream.prober." + std::to_string(s))
+                : nullptr;
+        workers.spawn([&, s, prober_hb] {
+          std::vector<ReplyRecord>& out = records[s];
+          out.reserve(per_shard);
+          run_lane(s, prober_hb, [&](const Ipv6Addr& addr, ProbeReply reply) {
+            out.push_back({probe_token_keyed(addr, auth_key), reply});
           });
-    }
-
-    // --- Producer: walks the permutation, decimated across shards. ----
-    workers.spawn([this, num_shards, &target_queues, &make_walk,
-                   producer_hb]() {
-      ArmedStage stage(producer_hb);
-      struct CloseAll {
-        std::vector<std::unique_ptr<v6::runtime::BoundedQueue<TargetBatch>>>*
-            queues;
-        ~CloseAll() {
-          for (auto& queue : *queues) queue->close();
-        }
-      } close_all{&target_queues};
-
-      std::vector<WalkAdapter> walks;
-      walks.reserve(num_shards);
-      for (unsigned s = 0; s < num_shards; ++s) walks.push_back(make_walk(s));
-      std::vector<bool> done(num_shards, false);
-      unsigned live = num_shards;
-      // Round-robin one batch per live shard per cycle: no queue starves.
-      while (live > 0) {
-        for (unsigned s = 0; s < num_shards; ++s) {
-          if (done[s]) continue;
-          TargetBatch batch;
-          batch.reserve(options_.batch);
-          ShardItem item;
-          bool more = true;
-          while (batch.size() < options_.batch) {
-            if (!walks[s].next(&item)) {
-              more = false;
-              break;
-            }
-            if (keep_[item.index] != 0) batch.push_back(item);
-          }
-          if (!batch.empty() && !target_queues[s]->push(std::move(batch))) {
-            return;  // consumer aborted; close_all shuts the rest down
-          }
-          stage.beat();
-          if (!more) {
-            target_queues[s]->close();
-            done[s] = true;
-            --live;
-          }
-        }
+        });
       }
-    });
-
-    // --- Probers: one worker per shard. -------------------------------
-    for (unsigned s = 0; s < num_shards; ++s) {
-      workers.spawn([this, s, &target_queues, &reply_queue, &live_probers,
-                     &probe_batch, &prober_hbs]() {
-        Lane& lane = *lanes_[s];
-        ArmedStage stage(prober_hbs[s]);
-        struct ProberGuard {
-          v6::runtime::BoundedQueue<TargetBatch>* own;
-          v6::runtime::BoundedQueue<ReplyBatch>* replies;
-          std::atomic<unsigned>* live;
-          ~ProberGuard() {
-            // Unblock the producer, and let the last prober out close
-            // the reply stream — on every exit path, including throws.
-            own->close();
-            if (live->fetch_sub(1) == 1) replies->close();
-          }
-        } exit_guard{target_queues[s].get(), &reply_queue, &live_probers};
-
-        TargetBatch batch;
-        while (target_queues[s]->pop(&batch)) {
-          ReplyBatch out;
-          out.reserve(batch.size());
-          probe_batch(lane, batch, &out);
-          if (!out.empty() && !reply_queue.push(std::move(out))) {
-            return;  // receiver gone
-          }
-          stage.beat();
-        }
-      });
+      workers.join();  // rethrows the first prober failure
     }
 
-    // --- Receiver: this thread. ---------------------------------------
-    try {
-      {
-        ArmedStage stage(receiver_hb);
-        ReplyBatch batch;
-        while (reply_queue.pop(&batch)) {
-          absorb(batch);
-          stage.beat();
-          if (reply_depth_gauge != nullptr) {
-            reply_depth_gauge->set(
-                static_cast<std::int64_t>(reply_queue.size()));
-          }
-        }
+    // Ordered merge: replay the 1-shard walk with the same filters.
+    // Shard k owns cycle positions p ≡ k (mod S) and recorded them in
+    // ascending p, so the next record of shard p % S answers position p.
+    // The MAC check ties each record back to the address it was meant
+    // for before it is classified.
+    v6::obs::ArmedHeartbeat stage(scan_hb);
+    std::vector<std::size_t> next(num_shards, 0);
+    ShardWalk walk(plan, 0, 1);
+    ShardItem item;
+    std::size_t until_beat = options_.batch;
+    while (walk.next(&item)) {
+      if (keep_[item.index] == 0) continue;
+      const Ipv6Addr& addr = targets[item.index];
+      if (blocklist_ != nullptr && blocklist_->blocked(addr)) continue;
+      const std::size_t shard = static_cast<std::size_t>(item.pos % num_shards);
+      V6_INVARIANT_MSG(next[shard] < records[shard].size(),
+                       "merge ran past a shard's records");
+      const ReplyRecord& record = records[shard][next[shard]++];
+      if (!validate_probe_keyed(addr, auth_key, record.token)) {
+        ++invalid_replies_;
+        continue;
       }
-      workers.join();  // rethrows the first producer/prober failure
-    } catch (...) {
-      for (auto& queue : target_queues) queue->close();
-      reply_queue.close();
-      try {
-        workers.join();
-      } catch (...) {  // the original exception wins
+      classify(addr, record.reply);
+      if (--until_beat == 0) {
+        stage.beat();
+        until_beat = options_.batch;
       }
-      throw;
-    }
-
-    // Queue totals survive the queues (locals of this branch) so the
-    // telemetry block below can publish them.
-    target_totals.reserve(num_shards);
-    for (const auto& queue : target_queues) {
-      target_totals.push_back(queue->totals());
-    }
-    reply_totals = reply_queue.totals();
-    have_queue_totals = true;
-
-    // Canonical order: merge the shard streams by ascending cycle
-    // position — exactly the order the fused single-shard loop probes
-    // in — then fold them through the same classifier.
-    std::sort(replay.begin(), replay.end(),
-              [](const ReplayRecord& a, const ReplayRecord& b) {
-                return a.pos < b.pos;
-              });
-    for (const ReplayRecord& record : replay) {
-      classify(record.addr, record.reply);
     }
   }
 
@@ -660,33 +466,14 @@ ScanStats StreamScanner::scan(std::span<const Ipv6Addr> targets,
         .record(static_cast<double>(stats.targets));
     registry.histogram("scanner.batch.virtual_seconds")
         .record(stats.virtual_seconds);
-    // Backpressure plane (docs/OBSERVABILITY.md "Live introspection"):
-    // per-queue totals and the scan's wall duration. Everything here is
-    // scheduling-dependent, hence the `.wall` suffix — the equivalence
-    // suites exempt these names from the shard/jobs bit-identity checks.
+    // The scan's wall duration (docs/OBSERVABILITY.md "Live
+    // introspection"): scheduling-dependent, hence the `.wall` suffix —
+    // the equivalence suites exempt such names from the shard/jobs
+    // bit-identity checks.
     registry.gauge("stream.scan.wall_nanos.wall")
         .set(std::chrono::duration_cast<std::chrono::nanoseconds>(
                  std::chrono::steady_clock::now() - wall_start)
                  .count());
-    if (have_queue_totals) {
-      const auto publish = [&registry](const std::string& prefix,
-                                       const v6::runtime::QueueTotals&
-                                           totals) {
-        registry.gauge(prefix + ".pushed.wall")
-            .set(static_cast<std::int64_t>(totals.pushed));
-        registry.gauge(prefix + ".hwm.wall")
-            .set(static_cast<std::int64_t>(totals.high_watermark));
-        registry.gauge(prefix + ".blocked_push_nanos.wall")
-            .set(static_cast<std::int64_t>(totals.blocked_push_nanos));
-        registry.gauge(prefix + ".blocked_pop_nanos.wall")
-            .set(static_cast<std::int64_t>(totals.blocked_pop_nanos));
-      };
-      for (std::size_t s = 0; s < target_totals.size(); ++s) {
-        publish("stream.queue.target." + std::to_string(s),
-                target_totals[s]);
-      }
-      publish("stream.queue.reply", reply_totals);
-    }
   }
   return stats;
 }

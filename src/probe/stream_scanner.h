@@ -1,30 +1,28 @@
 // The streaming stateless scan engine (docs/SCANNER.md).
 //
 // Scanner (scanner.h) materializes, dedups, and shuffles the whole
-// target list, then probes it sequentially. StreamScanner decouples the
-// scan into a bounded producer→prober→receiver pipeline:
+// target list, then probes it sequentially. StreamScanner instead walks
+// a seeded full-cycle permutation of the target index space
+// (shard_walk.h) — no shuffle buffer is ever materialized — and splits
+// that cycle across S shards, in the manner of ZMap's send threads:
 //
-//   producer  — walks a seeded full-cycle permutation of the target
-//               index space (shard_walk.h), decimated across shards; no
-//               shuffle buffer is ever materialized.
-//   probers   — one worker per shard, each with its own transport chain,
-//               rate-limiter slice, and retry/backoff state; probes are
-//               validated statelessly (probe_auth.h) so no pending-map
-//               is shared.
-//   receiver  — the calling thread: validates tokens, classifies
-//               replies, and folds per-shard tallies in shard order.
+//   probers — one worker per shard. Each walks its own slice of the
+//             cycle (positions p ≡ s mod S) with its own transport
+//             chain, rate-limiter slice, and retry/backoff state, and
+//             appends one {MAC, reply} record per probed target to a
+//             private vector. Probers share nothing but the read-only
+//             scan inputs.
+//   merge   — the calling thread, after every prober has joined:
+//             replays the single-shard walk, takes the next record of
+//             shard p % S for each position p, validates its stateless
+//             MAC (probe_auth.h) against the target, and classifies.
 //
-// Stages are connected by fixed-capacity BoundedQueues
-// (runtime/bounded_queue.h), so memory stays bounded no matter how far
-// the producer runs ahead.
-//
-// With shards == 1 the pipeline degenerates: the stages fuse into one
-// loop on the calling thread — no worker threads, no queues, no reply
-// records (those are the machinery of the multi-shard hand-off, not of
-// the scan itself) — which keeps the streaming engine at per-probe
-// parity with the batch Scanner. bench/bench_throughput.cpp gates that
-// parity on single-core hosts, and the threaded merge is required to
-// stay bit-identical to the fused loop.
+// With shards == 1 the walk already runs in canonical order, so the one
+// loop classifies in place on the calling thread — no worker threads
+// and no records — which keeps the streaming engine at per-probe parity
+// with the batch Scanner. bench/bench_throughput.cpp gates that parity
+// on single-core hosts, and the sharded merge is required to stay
+// bit-identical to the fused loop.
 //
 // Determinism contract (tested in tests/probe/stream_scanner_test.cc):
 // with faults and adaptive backoff off, hits, classifications, packets,
@@ -38,7 +36,8 @@
 // analytic model packets/max_pps + waits (not the batch engine's token
 // bucket), adaptive backoff's *wait accounting* is a per-shard control
 // loop (classifications stay shard-invariant), and fault decorators are
-// per-shard-deterministic but not shard-invariant.
+// per-shard-deterministic but not shard-invariant
+// (tests/golden/golden_stream_shards_test.cc pins what each lane sees).
 #pragma once
 
 #include <cstdint>
@@ -72,30 +71,24 @@ struct StreamScanOptions {
   /// Shard (= prober worker) count. Each shard covers a disjoint slice
   /// of the permutation cycle and gets max_pps/shards of the rate budget.
   unsigned shards = 1;
-  /// Targets per queue message — amortizes queue locking.
+  /// Probes (or merged records) per heartbeat beat in each scan loop.
   std::size_t batch = 256;
-  /// Messages per queue: the backpressure bound between stages.
-  std::size_t queue_capacity = 8;
   /// The shared scan knobs (retries, pacing, seed, telemetry, robust
-  /// path). `randomize_order` selects the permuted walk (default) or a
-  /// strided in-order walk; `seed` drives the permutation, the stateless
-  /// reply engines, probe validation, and backoff jitter.
+  /// path). `seed` drives the permutation walk, the stateless reply
+  /// engines, probe validation, and backoff jitter.
   ScanOptions scan;
   Decorator decorate;
-  /// Optional liveness plane (borrowed; may be null): each pipeline
-  /// stage registers a heartbeat (`stream.producer`, `stream.prober.<s>`,
-  /// `stream.receiver`; `stream.scan` for the fused single-shard loop),
-  /// armed for the duration of a scan and beaten once per batch. Purely
-  /// wall-side observation — a watchdog never changes what the scan
-  /// computes (docs/OBSERVABILITY.md "Live introspection").
+  /// Optional liveness plane (borrowed; may be null): each scan loop
+  /// registers a heartbeat — `stream.prober.<s>` per sharded prober and
+  /// `stream.scan` for the calling thread's loop (the fused single-shard
+  /// loop, or the merge after the probers join) — armed while that loop
+  /// runs and beaten once per `batch`. Purely wall-side observation — a
+  /// watchdog never changes what the scan computes
+  /// (docs/OBSERVABILITY.md "Live introspection").
   v6::obs::StallWatchdog* watchdog = nullptr;
 
   StreamScanOptions& with_shards(unsigned v) { shards = v; return *this; }
   StreamScanOptions& with_batch(std::size_t v) { batch = v; return *this; }
-  StreamScanOptions& with_queue_capacity(std::size_t v) {
-    queue_capacity = v;
-    return *this;
-  }
   StreamScanOptions& with_scan(ScanOptions v) { scan = v; return *this; }
   StreamScanOptions& with_decorator(Decorator v) {
     decorate = std::move(v);
@@ -134,7 +127,7 @@ class StreamScanner {
 
   using ReplyCallback = Scanner::ReplyCallback;
 
-  /// Scans `targets` on `type` through the pipeline. `on_reply` fires
+  /// Scans `targets` on `type` across the shards. `on_reply` fires
   /// once per probed address with its final classified reply, in
   /// canonical cycle-position order, after all probers have joined.
   ScanStats scan(std::span<const v6::net::Ipv6Addr> targets,
@@ -151,7 +144,7 @@ class StreamScanner {
   std::uint64_t packets_sent() const;
 
   /// Replies whose stateless validation token failed (always 0 against
-  /// the simulated universe; the counter exists because the receiver
+  /// the simulated universe; the counter exists because the merge
   /// refuses to classify unauthenticated replies by construction).
   std::uint64_t invalid_replies() const { return invalid_replies_; }
 

@@ -77,7 +77,8 @@ struct ServiceConfig {
   /// Optional liveness plane (borrowed; may be null): the refresh loop
   /// arms a `service.refresh` heartbeat beaten once per phase, and the
   /// watchdog is threaded into the cycle's streaming scanner so its
-  /// producer/prober/receiver stages report too. Wall-side only — a
+  /// scan loops (`stream.scan`, `stream.prober.<s>`) report too.
+  /// Wall-side only — a
   /// watchdog never changes the epoch sequence
   /// (docs/OBSERVABILITY.md "Live introspection").
   v6::obs::StallWatchdog* watchdog = nullptr;

@@ -29,8 +29,7 @@ void IncrementalTargetGenerator::rebuild() {
 }
 
 void IncrementalTargetGenerator::ingest(const SeedDelta& delta) {
-  // Removals first: they force the rebuild anyway, so fresh additions
-  // in the same delta ride along in the retrain.
+  // Removals first: they force the rebuild anyway.
   bool removed_any = false;
   if (!delta.removed.empty()) {
     for (const Ipv6Addr& addr : delta.removed) {
@@ -43,41 +42,25 @@ void IncrementalTargetGenerator::ingest(const SeedDelta& delta) {
     }
   }
 
+  // Our bookkeeping takes the additions up front. seed_set_ rejects both
+  // current seeds and repeats within this delta (first occurrence wins).
   std::vector<Ipv6Addr> fresh;
   fresh.reserve(delta.added.size());
   for (const Ipv6Addr& addr : delta.added) {
-    if (seed_set_.contains(addr)) continue;
+    if (!seed_set_.insert(addr).second) continue;
+    seeds_.push_back(addr);
     fresh.push_back(addr);
   }
 
-  if (removed_any) {
-    // Models cannot unlearn; merge the additions into the list and
-    // retrain once from the filtered result.
-    for (const Ipv6Addr& addr : fresh) {
-      seed_set_.insert(addr);
-      seeds_.push_back(addr);
-    }
+  // Models cannot unlearn, so a removal retrains once from the filtered
+  // list with the additions riding along. An addition-only delta lets
+  // the model fold it in place if it can (absorb_seeds registers the
+  // addresses in the generator's own seed bookkeeping).
+  if (removed_any || (!fresh.empty() && !generator_->absorb_seeds(fresh))) {
     rebuild();
     return;
   }
   if (fresh.empty()) return;  // delta was a no-op
-
-  // Addition-only delta: let the model fold it in place if it can.
-  // absorb_seeds registers the addresses in the generator's own seed
-  // bookkeeping; ours is updated either way.
-  const bool absorbed = generator_->absorb_seeds(fresh);
-  if (!absorbed) {
-    for (const Ipv6Addr& addr : fresh) {
-      seed_set_.insert(addr);
-      seeds_.push_back(addr);
-    }
-    rebuild();
-    return;
-  }
-  for (const Ipv6Addr& addr : fresh) {
-    seed_set_.insert(addr);
-    seeds_.push_back(addr);
-  }
   ++incremental_updates_;
 }
 

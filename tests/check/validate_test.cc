@@ -1,6 +1,6 @@
 // Tests for the unified config validation layer (src/check/validate.h)
 // and the validate() implementations it backs: PipelineConfig,
-// SweepSpec / ScanSession, StreamScanOptions, and ServiceConfig all
+// ScanSession, StreamScanOptions, and ServiceConfig all
 // fail with the same ConfigError shape —
 //
 //   <ConfigName>.<field>: <constraint>
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "experiment/pipeline.h"
-#include "experiment/runner.h"
 #include "experiment/session.h"
 #include "probe/stream_scanner.h"
 #include "service/hitlist_service.h"
@@ -50,9 +49,6 @@ TEST(Validator, MessageIsNameFieldConstraint) {
             "Demo.delay: must be >= 0");
   EXPECT_EQ(error_message([&] { v.unit_interval(1.5, "prob"); }),
             "Demo.prob: must be in [0, 1]");
-  const int* null = nullptr;
-  EXPECT_EQ(error_message([&] { v.not_null(null, "ptr"); }),
-            "Demo.ptr: is required (must not be null)");
   // Passing checks are silent.
   v.require(true, "field", "must hold");
   v.positive(1, "count");
@@ -76,12 +72,6 @@ TEST(ConfigValidation, PipelineConfigRejectsBadFields) {
             }),
             "PipelineConfig.retry_jitter: must be in [0, 1]");
   v6::experiment::PipelineConfig{}.validate();  // defaults are valid
-}
-
-TEST(ConfigValidation, SweepSpecRejectsNullWiring) {
-  v6::experiment::SweepSpec spec;
-  EXPECT_EQ(error_message([&] { spec.validate(); }),
-            "SweepSpec.universe: is required (must not be null)");
 }
 
 TEST(ConfigValidation, ScanSessionSweepValidatesItsConfig) {

@@ -4,10 +4,11 @@
 // the blocklist and dedup paths match the batch engine's pre-wire
 // accounting, and stateless probe validation (probe_auth.h) never
 // rejects a legitimate simulated reply. Labeled shard + concurrency so
-// the tsan preset exercises the pipeline.
+// the tsan preset exercises the sharded probers.
 #include "probe/stream_scanner.h"
 
 #include <cstdint>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,6 +20,7 @@
 #include "net/prefix.h"
 #include "net/rng.h"
 #include "obs/telemetry.h"
+#include "obs/watchdog.h"
 #include "probe/probe_auth.h"
 #include "probe/scanner.h"
 #include "probe/transport.h"
@@ -84,7 +86,6 @@ ScanResult run_stream(const ScanOptions& scan, unsigned shards,
                         StreamScanOptions{}
                             .with_shards(shards)
                             .with_batch(batch)
-                            .with_queue_capacity(4)
                             .with_scan(scan));
   ScanResult result = scanner.scan_hits(targets, ProbeType::kIcmp);
   if (invalid != nullptr) *invalid = scanner.invalid_replies();
@@ -104,7 +105,6 @@ TEST(StreamScannerTest, BitIdenticalAcrossShardCountsAndOptions) {
                      .with_retries(2)
                      .with_probe_timeout(0.05)
                      .with_retry_backoff(0.1, /*jitter=*/0.5)},
-      {"inorder", ScanOptions{}.with_seed(3).with_randomize_order(false)},
   };
   const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/99, 600);
   for (const Variant& variant : variants) {
@@ -117,7 +117,7 @@ TEST(StreamScannerTest, BitIdenticalAcrossShardCountsAndOptions) {
     EXPECT_GT(reference.stats.deduped, 0u) << variant.name;
     for (const unsigned shards : {2u, 3u, 4u}) {
       // A batch size that does not divide the target count exercises the
-      // producer's tail batches.
+      // heartbeat cadence's tail.
       const ScanResult result = run_stream(variant.scan, shards, 37, nullptr,
                                            targets, &invalid);
       EXPECT_EQ(invalid, 0u) << variant.name;
@@ -211,10 +211,9 @@ TEST(StreamScannerTest, TelemetryCountersAreShardInvariant) {
   const v6::obs::Report three = run_with_telemetry(3);
   EXPECT_GT(one.counter_value("scanner.probed"), 0u);
   EXPECT_EQ(one.counters, three.counters);
-  // Gauges carry the backpressure plane, which is wall-side by
-  // definition (queue high watermarks, blocked nanoseconds): those
-  // `.wall` names exist only in the threaded run and are exempt from
-  // shard invariance. Everything else must match.
+  // `.wall` gauges (the scan's wall duration) are host time by
+  // definition and exempt from shard invariance. Everything else must
+  // match.
   const auto drop_wall = [](const std::map<std::string, std::int64_t>& in) {
     std::map<std::string, std::int64_t> out;
     for (const auto& [name, value] : in) {
@@ -227,12 +226,9 @@ TEST(StreamScannerTest, TelemetryCountersAreShardInvariant) {
     return out;
   };
   EXPECT_EQ(drop_wall(one.gauges), drop_wall(three.gauges));
-  // And the threaded run must actually publish the plane: per-shard
-  // target-queue totals plus the shared reply queue.
-  EXPECT_TRUE(three.gauges.count("stream.queue.target.0.pushed.wall"));
-  EXPECT_TRUE(three.gauges.count("stream.queue.target.2.hwm.wall"));
-  EXPECT_TRUE(three.gauges.count("stream.queue.reply.pushed.wall"));
-  EXPECT_GT(three.gauges.at("stream.queue.reply.pushed.wall"), 0);
+  // Both modes publish the wall duration.
+  EXPECT_TRUE(one.gauges.count("stream.scan.wall_nanos.wall"));
+  EXPECT_TRUE(three.gauges.count("stream.scan.wall_nanos.wall"));
 }
 
 TEST(StreamScannerTest, FlushTelemetryIsIdempotent) {
@@ -263,6 +259,27 @@ TEST(StreamScannerTest, StatsAreInternallyConsistent) {
   EXPECT_EQ(s.hits, result.hits.size());
   EXPECT_GE(s.packets, s.probed);
   EXPECT_GT(s.virtual_seconds, 0.0);
+}
+
+TEST(StreamScannerTest, EveryScanLoopBeatsAndDisarmsItsHeartbeat) {
+  const std::vector<Ipv6Addr> targets = mixed_targets(/*seed=*/29, 400);
+  v6::obs::StallWatchdog watchdog;  // never started: beats only
+  StreamScanner scanner(v6::testutil::small_universe(), nullptr,
+                        StreamScanOptions{}
+                            .with_shards(3)
+                            .with_batch(16)
+                            .with_scan(ScanOptions{}.with_seed(8))
+                            .with_watchdog(&watchdog));
+  scanner.scan_hits(targets, ProbeType::kIcmp);
+  // The probers' loops and the caller's merge loop; nothing else.
+  std::set<std::string> names;
+  for (const auto& stage : watchdog.status()) {
+    names.insert(stage.name);
+    EXPECT_GT(stage.beats, 0u) << stage.name;
+    EXPECT_FALSE(stage.armed) << stage.name;
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"stream.prober.0", "stream.prober.1",
+                                          "stream.prober.2", "stream.scan"}));
 }
 
 TEST(ProbeAuthTest, TokenValidatesOnlyItsOwnAddressAndSeed) {

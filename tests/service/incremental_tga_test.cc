@@ -98,6 +98,20 @@ TEST(IncrementalTga, DuplicateAdditionsAndUnknownRemovalsAreNoOps) {
   EXPECT_EQ(tga.full_rebuilds(), 0u);
 }
 
+TEST(IncrementalTga, RepeatedAdditionWithinOneDeltaIsIngestedOnce) {
+  IncrementalTargetGenerator tga(TgaKind::kSixTree, /*rng_seed=*/7);
+  tga.prepare(universe_seeds(0, 64));
+
+  const Ipv6Addr fresh = universe_seeds(300, 1).front();
+  SeedDelta delta;
+  delta.added = {fresh, fresh};
+  tga.ingest(delta);
+
+  const auto seeds = tga.seeds();
+  EXPECT_EQ(seeds.size(), 65u);
+  EXPECT_EQ(std::count(seeds.begin(), seeds.end(), fresh), 1);
+}
+
 TEST(IncrementalTga, PrepareResetsTheIngestStatistics) {
   IncrementalTargetGenerator tga(TgaKind::kSixHit, /*rng_seed=*/7);
   tga.prepare(universe_seeds(0, 200));

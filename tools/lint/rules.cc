@@ -21,66 +21,8 @@ bool has_suffix(const std::string& path, std::string_view suffix) {
 }
 
 // ---------------------------------------------------------------- rules
-// The original eight rules, ported onto the shared index (they used to
-// each re-strip the file); rationale per rule in docs/STATIC_ANALYSIS.md.
-
-/// deprecated-api: three generations of retired sweep spellings. The
-/// PR 2 positional wrappers are deleted outright; run_sweep(SweepSpec)
-/// is a [[deprecated]] forwarder whose only permitted spellings are its
-/// own declaration and definition in src/experiment/runner.{h,cc} —
-/// every caller belongs on the ScanSession builder.
-void check_deprecated_api(const RuleContext& ctx, std::vector<Violation>& out) {
-  const FileIndex& fi = ctx.file;
-  const std::vector<std::string>& stripped = fi.lx.code_lines;
-  static const std::regex kPositional(R"(\b(run_all_tgas|run_tgas)\b)");
-  for (std::size_t i = 0; i < stripped.size(); ++i) {
-    if (std::regex_search(stripped[i], kPositional)) {
-      out.push_back({fi.file, i + 1, "deprecated-api",
-                     "call to deprecated positional sweep API; use "
-                     "ScanSession(universe, alias_list).with_*(...).sweep()"});
-    }
-  }
-
-  if (!has_suffix(fi.generic, "src/experiment/runner.h") &&
-      !has_suffix(fi.generic, "src/experiment/runner.cc")) {
-    static const std::regex kRunSweep(R"(\brun_sweep\s*\()");
-    for (std::size_t i = 0; i < stripped.size(); ++i) {
-      if (std::regex_search(stripped[i], kRunSweep)) {
-        out.push_back(
-            {fi.file, i + 1, "deprecated-api",
-             "run_sweep(SweepSpec) is a deprecated forwarder; use "
-             "ScanSession(universe, alias_list).with_*(...).sweep()"});
-      }
-    }
-  }
-
-  // The deprecated scan_hits spelling is the 3-argument out-param
-  // overload; count top-level commas inside the call parentheses.
-  const std::string& joined = fi.lx.code;
-  static const std::regex kScanHits(R"(\bscan_hits\s*\()");
-  for (auto it = std::sregex_iterator(joined.begin(), joined.end(), kScanHits);
-       it != std::sregex_iterator(); ++it) {
-    std::size_t pos = static_cast<std::size_t>(it->position()) + it->length();
-    int depth = 1;
-    int commas = 0;
-    while (pos < joined.size() && depth > 0) {
-      const char c = joined[pos];
-      if (c == '(' || c == '[' || c == '{') ++depth;
-      else if (c == ')' || c == ']' || c == '}') --depth;
-      else if (c == ',' && depth == 1) ++commas;
-      ++pos;
-    }
-    if (commas >= 2) {
-      const std::size_t line =
-          1 + static_cast<std::size_t>(
-                  std::count(joined.begin(),
-                             joined.begin() + it->position(), '\n'));
-      out.push_back({fi.file, line, "deprecated-api",
-                     "3-argument scan_hits is the deprecated ScanStats* "
-                     "out-param overload; use scan_hits(targets, type)"});
-    }
-  }
-}
+// The original rules, ported onto the shared index (they used to each
+// re-strip the file); rationale per rule in docs/STATIC_ANALYSIS.md.
 
 /// nondeterminism: everything downstream of a seed must be reproducible;
 /// ambient entropy or wall-clock reads in src/ (outside the one blessed
@@ -508,7 +450,6 @@ void index_file(FileIndex& fi) {
 
 const std::vector<Rule>& all_rules() {
   static const std::vector<Rule> kRules = {
-      {"deprecated-api", check_deprecated_api},
       {"nondeterminism", check_nondeterminism},
       {"pragma-once", check_pragma_once},
       {"telemetry-null-guard", check_telemetry_guard},
