@@ -111,18 +111,6 @@ void BM_UniverseProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_UniverseProbe);
 
-void BM_SpaceTreeBuild(benchmark::State& state) {
-  const auto seeds = sample_seeds(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    v6::tga::SpaceTree tree(
-        seeds, {.policy = v6::tga::SplitPolicy::kLeftmost});
-    benchmark::DoNotOptimize(tree.regions().size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(seeds.size()));
-}
-BENCHMARK(BM_SpaceTreeBuild)->Arg(1000)->Arg(10000);
-
 /// `n` addresses spread evenly over the default Workbench's full seed
 /// list — the All row of the paper sweep (253,686 seeds), so that at the
 /// largest size the TGAs see the region counts the sweep gives them.
@@ -137,6 +125,23 @@ std::vector<Ipv6Addr> sweep_seeds(std::size_t n) {
   }
   return seeds;
 }
+
+/// Args: split policy (0 leftmost, 1 min-entropy), seed count.
+void BM_SpaceTreeBuild(benchmark::State& state) {
+  const auto policy = state.range(0) == 0 ? v6::tga::SplitPolicy::kLeftmost
+                                          : v6::tga::SplitPolicy::kMinEntropy;
+  const auto seeds = sweep_seeds(static_cast<std::size_t>(state.range(1)));
+  state.SetLabel(state.range(0) == 0 ? "leftmost" : "min-entropy");
+  for (auto _ : state) {
+    v6::tga::SpaceTree tree(seeds, {.policy = policy});
+    benchmark::DoNotOptimize(tree.regions().size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(seeds.size()));
+}
+BENCHMARK(BM_SpaceTreeBuild)
+    ->ArgsProduct({{0, 1}, {10'000, 250'000}})
+    ->Unit(benchmark::kMillisecond);
 
 /// Args: TGA index, seed count.
 void BM_TgaPrepare(benchmark::State& state) {

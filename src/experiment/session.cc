@@ -7,6 +7,7 @@
 #include "check/validate.h"
 #include "obs/sinks.h"
 #include "runtime/thread_pool.h"
+#include "tga/seed_trees.h"
 
 namespace v6::experiment {
 
@@ -31,17 +32,24 @@ std::vector<TgaRun> ScanSession::sweep() const {
   std::vector<v6::obs::Telemetry> locals(kinds.size());
   std::vector<v6::obs::MemorySink> buffers(forward_events ? kinds.size() : 0);
 
+  // The row's space trees, shared by the tree generators and freed when
+  // the call returns. Whichever run asks first builds a tree; every run
+  // reads the same bytes, so outcomes do not depend on which one did.
+  v6::tga::SeedTrees trees(seeds_);
+
   v6::obs::Span sweep_span(telemetry_, "sweep");
   v6::runtime::parallel_for(jobs_, kinds.size(), [&](std::size_t i) {
     // Everything mutable is created inside the task: the generator, the
     // run's telemetry, and (inside run_tga) the transport, scanner, and
-    // dealiasers. Only the const Universe and the seed span are shared.
+    // dealiasers. Only the const Universe, the seed span and the
+    // immutable trees are shared.
     v6::obs::Telemetry& local = locals[i];
     if (forward_events) local.attach_sink(&buffers[i]);
     PipelineConfig config = config_;
     config.telemetry = &local;
     const auto start = std::chrono::steady_clock::now();
     auto generator = v6::tga::make_generator(kinds[i]);
+    generator->attach_seed_trees(&trees);
     runs[i].kind = kinds[i];
     {
       v6::obs::Span tga_span(
@@ -59,6 +67,8 @@ std::vector<TgaRun> ScanSession::sweep() const {
 
   // Deterministic merge: slot order, regardless of completion order.
   if (telemetry_ != nullptr) {
+    telemetry_->registry().counter("sweep.space_tree_builds").add(
+        trees.builds());
     for (std::size_t i = 0; i < kinds.size(); ++i) {
       telemetry_->registry().merge_from(locals[i].registry());
     }

@@ -17,7 +17,9 @@
 // bit-identical to a sequential run (docs/ALGORITHMS.md, "Parallel
 // experiment execution"): a run is a pure function of the const
 // Universe plus its own freshly-seeded state, every output slot is
-// pre-assigned, and per-run telemetry is merged in slot order.
+// pre-assigned, and per-run telemetry is merged in slot order. The tree
+// generators share one space tree per split policy over the call's seed
+// row (tga::SeedTrees), built once and freed when sweep() returns.
 //
 // The continuous service (src/service) does not go through a session:
 // HitlistService drives its refresh scans with a probe::StreamScanner

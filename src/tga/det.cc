@@ -12,13 +12,14 @@ void Det::reset_model() {
   ranked_.clear();
   pending_.clear();
   total_emitted_ = 0;
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_tree({.policy = SplitPolicy::kMinEntropy,
+                 .max_leaf_seeds = options_.max_leaf_seeds,
+                 .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   for (const TreeRegion& r : tree.regions()) {
     Region region;
-    region.cursor = RegionCursor(r.base, r.free);
+    region.cursor = RegionCursor(r.base, r.free());
     region.seed_mass = static_cast<double>(r.seed_count);
     regions_.push_back(std::move(region));
     rank(static_cast<std::uint32_t>(regions_.size() - 1));

@@ -52,8 +52,8 @@ class NybbleStats {
   /// Positions with more than one observed value, left to right.
   std::vector<int> varying_positions() const;
 
-  /// Among `candidates` (or all varying positions if empty), the position
-  /// with minimum positive entropy — DET's split heuristic.
+  /// The varying position with minimum entropy (the leftmost on ties),
+  /// or -1 if all nybbles are constant — DET's split heuristic.
   int min_entropy_position() const;
 
   /// The leftmost varying position, or -1 if all nybbles are constant —

@@ -56,30 +56,26 @@ void SixForest::reset_model() {
               if (a.region.base != b.region.base) {
                 return a.region.base < b.region.base;
               }
-              return a.region.free < b.region.free;
+              return a.region.free() < b.region.free();
             });
   struct Key {
     Ipv6Addr base;
-    std::vector<int> free;
+    std::uint32_t free_mask;
     bool operator==(const Key&) const = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const noexcept {
-      std::size_t h = v6::net::Ipv6AddrHash{}(k.base);
-      for (const int pos : k.free) {
-        h = h * 31 + static_cast<std::size_t>(pos);
-      }
-      return h;
+      return v6::net::Ipv6AddrHash{}(k.base) * 31 + k.free_mask;
     }
   };
   std::unordered_set<Key, KeyHash> seen;
   regions_.reserve(forest_regions.size());
   for (const Scored& scored : forest_regions) {
-    if (!seen.insert({scored.region.base, scored.region.free}).second) {
+    if (!seen.insert({scored.region.base, scored.region.free_mask}).second) {
       continue;
     }
     Region region;
-    region.cursor = RegionCursor(scored.region.base, scored.region.free);
+    region.cursor = RegionCursor(scored.region.base, scored.region.free());
     region.chunk = std::max<std::uint64_t>(
         options_.min_chunk,
         options_.chunk_per_seed * scored.region.seed_count);

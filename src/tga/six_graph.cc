@@ -42,12 +42,6 @@ class UnionFind {
   std::vector<std::uint32_t> size_;
 };
 
-std::uint32_t free_mask_of(const std::vector<int>& free) {
-  std::uint32_t m = 0;
-  for (const int pos : free) m |= 1u << pos;
-  return m;
-}
-
 }  // namespace
 
 std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
@@ -68,12 +62,11 @@ std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
   const auto for_each_key = [&](auto&& visit) {
     for (std::uint32_t li = 0; li < leaves.size(); ++li) {
       const TreeRegion& leaf = leaves[li];
-      if (leaf.free.size() > 2) continue;
-      const std::uint32_t free_mask = free_mask_of(leaf.free);
+      if (leaf.free_count() > 2) continue;
       for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
-        if ((free_mask >> pos) & 1) continue;
-        visit(Keyed{leaf.base.with_nybble(pos, 0), free_mask | (1u << pos),
-                    li});
+        if ((leaf.free_mask >> pos) & 1) continue;
+        visit(Keyed{leaf.base.with_nybble(pos, 0),
+                    leaf.free_mask | (1u << pos), li});
       }
     }
   };
@@ -84,7 +77,9 @@ std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
   // a bucket), and only the buckets are sorted.
   std::size_t total = 0;
   for (const TreeRegion& leaf : leaves) {
-    if (leaf.free.size() <= 2) total += Ipv6Addr::kNybbles - leaf.free.size();
+    if (leaf.free_count() <= 2) {
+      total += static_cast<std::size_t>(Ipv6Addr::kNybbles - leaf.free_count());
+    }
   }
   const int bucket_bits =
       std::max(1, static_cast<int>(std::bit_width(total / 128)));
@@ -125,7 +120,7 @@ std::vector<std::vector<std::uint32_t>> mine_pattern_clusters(
     }
     const std::uint32_t leaf = keyed[i].leaf;
     const std::uint32_t wildcard =
-        keyed[i].mask & ~free_mask_of(leaves[leaf].free);
+        keyed[i].mask & ~leaves[leaf].free_mask;
     edges.push_back({leaf, std::countr_zero(wildcard), keyed[first].leaf});
   }
   std::sort(edges.begin(), edges.end());
@@ -149,9 +144,10 @@ void SixGraph::reset_model() {
   clusters_.clear();
   turn_ = 0;
 
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kMinEntropy,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_tree({.policy = SplitPolicy::kMinEntropy,
+                 .max_leaf_seeds = options_.max_leaf_seeds,
+                 .max_free = options_.max_free});
   const auto leaves = tree.regions();
   if (leaves.empty()) return;
 
@@ -181,14 +177,14 @@ void SixGraph::reset_model() {
     Ipv6Addr base = leaves[members.front()].base;
     for (const std::uint32_t li : members) {
       const TreeRegion& leaf = leaves[li];
-      free_mask |= free_mask_of(leaf.free);
+      free_mask |= leaf.free_mask;
       for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
         value_bits[static_cast<std::size_t>(pos)] |=
             static_cast<std::uint16_t>(1u << leaf.base.nybble(pos));
       }
       seeds += leaf.seed_count;
       member_capacity +=
-          std::pow(16.0, static_cast<double>(leaf.free.size()));
+          std::pow(16.0, static_cast<double>(leaf.free_count()));
       if (leaf.seed_count > best_seed_count) {
         best_seed_count = leaf.seed_count;
         base = leaf.base;

@@ -6,11 +6,14 @@ namespace v6::tga {
 
 using v6::net::Ipv6Addr;
 
-void SixHit::build_tree(const std::vector<Ipv6Addr>& from) {
+SpaceTree::Options SixHit::tree_options() const {
+  return {.policy = SplitPolicy::kLeftmost,
+          .max_leaf_seeds = options_.max_leaf_seeds,
+          .max_free = options_.max_free};
+}
+
+void SixHit::load_tree(const SpaceTree& tree) {
   regions_.clear();
-  SpaceTree tree(from, {.policy = SplitPolicy::kLeftmost,
-                        .max_leaf_seeds = options_.max_leaf_seeds,
-                        .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   double max_density = 0.0;
   for (const TreeRegion& r : tree.regions()) {
@@ -18,7 +21,7 @@ void SixHit::build_tree(const std::vector<Ipv6Addr>& from) {
   }
   for (const TreeRegion& r : tree.regions()) {
     Region region;
-    region.cursor = RegionCursor(r.base, r.free);
+    region.cursor = RegionCursor(r.base, r.free());
     // Flat optimism plus a density prior: unexplored regions stay
     // attractive until feedback says otherwise.
     region.q =
@@ -42,7 +45,15 @@ void SixHit::reset_model() {
   pending_.clear();
   discovered_.clear();
   hits_since_rebuild_ = 0;
-  build_tree(seeds_);
+  load_tree(seed_tree(tree_options()));
+}
+
+void SixHit::rebuild_tree() {
+  std::vector<Ipv6Addr> combined = seeds_;
+  combined.insert(combined.end(), discovered_.begin(), discovered_.end());
+  pending_.clear();
+  load_tree(SpaceTree(combined, tree_options()));
+  hits_since_rebuild_ = 0;
 }
 
 bool SixHit::absorb_seeds(std::span<const Ipv6Addr> added) {
@@ -51,11 +62,7 @@ bool SixHit::absorb_seeds(std::span<const Ipv6Addr> added) {
   // the partition from the merged seeds plus everything discovered so
   // far. emitted_ and the RNG stream are untouched, so the generator
   // neither re-emits old candidates nor replays old draws.
-  std::vector<Ipv6Addr> combined = seeds_;
-  combined.insert(combined.end(), discovered_.begin(), discovered_.end());
-  pending_.clear();
-  build_tree(combined);
-  hits_since_rebuild_ = 0;
+  rebuild_tree();
   return true;
 }
 
@@ -65,13 +72,7 @@ std::vector<Ipv6Addr> SixHit::next_batch(std::size_t n) {
   if (regions_.empty()) return out;
 
   // Periodic tree recreation with discovered actives folded in.
-  if (hits_since_rebuild_ >= options_.rebuild_after_hits) {
-    std::vector<Ipv6Addr> combined = seeds_;
-    combined.insert(combined.end(), discovered_.begin(), discovered_.end());
-    pending_.clear();
-    build_tree(combined);
-    hits_since_rebuild_ = 0;
-  }
+  if (hits_since_rebuild_ >= options_.rebuild_after_hits) rebuild_tree();
 
   std::size_t consecutive_failures = 0;
   while (out.size() < n && consecutive_failures < regions_.size() + 8) {

@@ -51,7 +51,12 @@ class SixHit final : public TargetGeneratorBase {
     bool dead = false;
   };
 
-  void build_tree(const std::vector<v6::net::Ipv6Addr>& from);
+  SpaceTree::Options tree_options() const;
+  /// Replaces the regions (and their ranks) with `tree`'s leaves.
+  void load_tree(const SpaceTree& tree);
+  /// Rebuilds the tree from seeds_ plus discovered_ (the fold of newly
+  /// found actives, or of absorbed seeds), dropping pending feedback.
+  void rebuild_tree();
   /// Mirrors regions_[index]'s q (or its death) into by_q_.
   void update_rank(std::uint32_t index);
 

@@ -67,7 +67,7 @@ void SixSense::reset_model() {
     section.regions.reserve(tree.regions().size());
     for (const TreeRegion& r : tree.regions()) {
       Region region;
-      region.cursor = RegionCursor(r.base, r.free);
+      region.cursor = RegionCursor(r.base, r.free());
       region.seed_mass = static_cast<double>(r.seed_count);
       section.regions.push_back(std::move(region));
     }

@@ -10,13 +10,14 @@ using v6::net::Ipv6Addr;
 void SixTree::reset_model() {
   regions_.clear();
   turn_ = 0;
-  SpaceTree tree(seeds_, {.policy = SplitPolicy::kLeftmost,
-                          .max_leaf_seeds = options_.max_leaf_seeds,
-                          .max_free = options_.max_free});
+  const SpaceTree& tree =
+      seed_tree({.policy = SplitPolicy::kLeftmost,
+                 .max_leaf_seeds = options_.max_leaf_seeds,
+                 .max_free = options_.max_free});
   regions_.reserve(tree.regions().size());
   for (const TreeRegion& r : tree.regions()) {
     Region region;
-    region.cursor = RegionCursor(r.base, r.free);
+    region.cursor = RegionCursor(r.base, r.free());
     region.chunk = std::max<std::uint64_t>(
         options_.min_chunk, options_.chunk_per_seed * r.seed_count);
     regions_.push_back(std::move(region));

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "tga/nybble_stats.h"
 
@@ -116,83 +118,175 @@ bool RangeCursor::widen() {
 
 // ---- SpaceTree -----------------------------------------------------------
 
+std::vector<int> TreeRegion::free() const {
+  std::vector<int> positions;
+  positions.reserve(static_cast<std::size_t>(free_count()));
+  for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
+    if ((free_mask >> pos) & 1) positions.push_back(pos);
+  }
+  return positions;
+}
+
+namespace {
+
+// Split decisions on large nodes are made from a stride sample; the
+// exact varying positions are recomputed if the node turns out to be a
+// leaf.
+constexpr std::size_t kSampleCap = 4096;
+
+/// The OR of `seeds[m] ^ seeds[members[0]]` over every `stride`-th
+/// member: nybble i is nonzero iff position i varies in that sample.
+Ipv6Addr varying_mask(std::span<const Ipv6Addr> seeds,
+                      std::span<const std::uint32_t> members,
+                      std::size_t stride) {
+  const Ipv6Addr& first = seeds[members.front()];
+  std::uint64_t hi = 0, lo = 0;
+  for (std::size_t i = 0; i < members.size(); i += stride) {
+    const Ipv6Addr& a = seeds[members[i]];
+    hi |= a.hi() ^ first.hi();
+    lo |= a.lo() ^ first.lo();
+  }
+  return Ipv6Addr(hi, lo);
+}
+
+/// Leftmost varying position of `mask`, or -1 if none varies.
+int leftmost_position(const Ipv6Addr& mask) {
+  if (mask.hi() != 0) return std::countl_zero(mask.hi()) / 4;
+  if (mask.lo() != 0) return 16 + std::countl_zero(mask.lo()) / 4;
+  return -1;
+}
+
+/// The varying position of minimum entropy over the same sample that
+/// produced `mask` (the leftmost on ties), or -1 if none varies —
+/// NybbleStats::min_entropy_position, with histograms for the varying
+/// positions only.
+int min_entropy_position(std::span<const Ipv6Addr> seeds,
+                         std::span<const std::uint32_t> members,
+                         std::size_t stride, const Ipv6Addr& mask) {
+  std::array<int, Ipv6Addr::kNybbles> positions{};
+  std::size_t varying = 0;
+  for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
+    if (mask.nybble(pos) != 0) positions[varying++] = pos;
+  }
+  if (varying == 0) return -1;
+  std::array<NybbleHistogram, Ipv6Addr::kNybbles> hist{};
+  for (std::size_t i = 0; i < members.size(); i += stride) {
+    const Ipv6Addr& a = seeds[members[i]];
+    for (std::size_t k = 0; k < varying; ++k) {
+      ++hist[k].count[a.nybble(positions[k])];
+    }
+  }
+  int best = -1;
+  double best_h = 5.0;  // above the 4-bit maximum
+  for (std::size_t k = 0; k < varying; ++k) {
+    const double e = hist[k].entropy();
+    if (e < best_h) {
+      best_h = e;
+      best = positions[k];
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 SpaceTree::SpaceTree(std::span<const Ipv6Addr> seeds, Options options)
     : options_(options) {
   if (seeds.empty()) return;
-  std::vector<std::uint32_t> all(seeds.size());
-  for (std::uint32_t i = 0; i < seeds.size(); ++i) all[i] = i;
-  build(seeds, std::move(all), 0);
+  // Every node owns a contiguous range of `index`. A split stably
+  // partitions its range into up to 16 child ranges by the split nybble,
+  // so members keep their relative order, and the stack visits children
+  // in ascending nybble order: the same nodes, in the same order, with the
+  // same member order as a recursive build. Member order matters twice:
+  // the stride sample of a large node reads it, and a leaf's base is its
+  // first member, whose varying nybbles beyond max_free are not zeroed.
+  std::vector<std::uint32_t> index(seeds.size());
+  std::iota(index.begin(), index.end(), 0u);
+  std::vector<std::uint32_t> scratch(seeds.size());
+  struct Node {
+    std::uint32_t begin;
+    std::uint32_t end;
+    int depth;
+  };
+  std::vector<Node> stack{{0, static_cast<std::uint32_t>(seeds.size()), 0}};
+  while (!stack.empty()) {
+    const Node node = stack.back();
+    stack.pop_back();
+    ++node_count_;
+    const std::span<const std::uint32_t> members(index.data() + node.begin,
+                                                 node.end - node.begin);
+
+    // Nodes that are leaves whatever the split skip choosing one.
+    int split = -1;
+    Ipv6Addr mask;
+    bool mask_exact = false;
+    if (members.size() > options_.max_leaf_seeds &&
+        node.depth < Ipv6Addr::kNybbles) {
+      const std::size_t stride =
+          members.size() > kSampleCap ? members.size() / kSampleCap : 1;
+      mask = varying_mask(seeds, members, stride);
+      mask_exact = stride == 1;
+      split = options_.policy == SplitPolicy::kLeftmost
+                  ? leftmost_position(mask)
+                  : min_entropy_position(seeds, members, stride, mask);
+    }
+    if (split < 0) {
+      if (!mask_exact) mask = varying_mask(seeds, members, 1);
+      add_leaf(seeds[members.front()], mask, members.size());
+      continue;
+    }
+
+    // Stable counting partition of the node's range on the split nybble.
+    std::array<std::uint32_t, 17> start{};
+    for (const std::uint32_t i : members) ++start[seeds[i].nybble(split) + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::array<std::uint32_t, 16> fill{};
+    std::copy(start.begin(), start.end() - 1, fill.begin());
+    std::uint32_t* const out = scratch.data() + node.begin;
+    for (const std::uint32_t i : members) {
+      out[fill[seeds[i].nybble(split)]++] = i;
+    }
+    std::copy(out, out + members.size(), index.data() + node.begin);
+    for (int v = 15; v >= 0; --v) {
+      const auto b = static_cast<std::size_t>(v);
+      if (start[b] == start[b + 1]) continue;
+      stack.push_back({node.begin + start[b], node.begin + start[b + 1],
+                       node.depth + 1});
+    }
+  }
   std::sort(regions_.begin(), regions_.end(),
             [](const TreeRegion& a, const TreeRegion& b) {
               if (a.density != b.density) return a.density > b.density;
               return a.base < b.base;
             });
+  regions_.shrink_to_fit();  // a shared tree lives for a whole sweep call
 }
 
-void SpaceTree::build(std::span<const Ipv6Addr> seeds,
-                      std::vector<std::uint32_t> indices, int depth) {
-  ++node_count_;
-
-  // Split decisions on large nodes are made from a stride sample; the
-  // exact statistics are recomputed if the node turns out to be a leaf.
-  constexpr std::size_t kSampleCap = 4096;
-  const bool sampled = indices.size() > kSampleCap;
-  NybbleStats stats;
-  if (sampled) {
-    const std::size_t stride = indices.size() / kSampleCap;
-    for (std::size_t i = 0; i < indices.size(); i += stride) {
-      stats.add(seeds[indices[i]]);
-    }
-  } else {
-    for (const std::uint32_t i : indices) stats.add(seeds[i]);
+void SpaceTree::add_leaf(const Ipv6Addr& first, const Ipv6Addr& mask,
+                         std::size_t seed_count) {
+  TreeRegion region;
+  region.base = first;
+  // Keep at most max_free dimensions; prefer the rightmost (host-side)
+  // ones, which vary most in structured allocations.
+  int kept = 0;
+  for (int pos = Ipv6Addr::kNybbles - 1; pos >= 0 && kept < options_.max_free;
+       --pos) {
+    if (mask.nybble(pos) == 0) continue;
+    region.free_mask |= 1u << pos;
+    region.base = region.base.with_nybble(pos, 0);
+    ++kept;
   }
-
-  const int split =
-      options_.policy == SplitPolicy::kLeftmost
-          ? stats.leftmost_varying_position()
-          : stats.min_entropy_position();
-
-  const bool make_leaf = split < 0 ||
-                         indices.size() <= options_.max_leaf_seeds ||
-                         depth >= Ipv6Addr::kNybbles;
-  if (make_leaf) {
-    if (sampled) {
-      stats = NybbleStats();
-      for (const std::uint32_t i : indices) stats.add(seeds[i]);
-    }
-    TreeRegion region;
-    std::vector<int> varying = stats.varying_positions();
-    // Keep at most max_free dimensions; prefer the rightmost (host-side)
-    // ones, which vary most in structured allocations.
-    if (static_cast<int>(varying.size()) > options_.max_free) {
-      varying.erase(varying.begin(),
-                    varying.end() - options_.max_free);
-    }
-    if (varying.empty()) {
-      // Identical (or single) seeds: expand around the host nybble.
-      varying.push_back(Ipv6Addr::kNybbles - 1);
-    }
-    region.base = seeds[indices.front()];
-    for (const int pos : varying) region.base = region.base.with_nybble(pos, 0);
-    region.free = std::move(varying);
-    region.seed_count = static_cast<std::uint32_t>(indices.size());
-    // (n - 0.5) rather than n: a singleton region's density estimate is
-    // discounted so true multi-seed patterns outrank lone addresses.
-    region.density = (static_cast<double>(indices.size()) - 0.5) /
-                     std::pow(16.0, static_cast<double>(region.free.size()));
-    regions_.push_back(std::move(region));
-    return;
+  if (region.free_mask == 0) {
+    // Identical (or single) seeds: expand around the host nybble.
+    region.free_mask = 1u << (Ipv6Addr::kNybbles - 1);
+    region.base = region.base.with_nybble(Ipv6Addr::kNybbles - 1, 0);
   }
-
-  std::array<std::vector<std::uint32_t>, 16> buckets;
-  for (const std::uint32_t i : indices) {
-    buckets[seeds[i].nybble(split)].push_back(i);
-  }
-  indices.clear();
-  indices.shrink_to_fit();
-  for (auto& bucket : buckets) {
-    if (!bucket.empty()) build(seeds, std::move(bucket), depth + 1);
-  }
+  region.seed_count = static_cast<std::uint32_t>(seed_count);
+  // (n - 0.5) rather than n: a singleton region's density estimate is
+  // discounted so true multi-seed patterns outrank lone addresses.
+  region.density = (static_cast<double>(seed_count) - 0.5) /
+                   std::pow(16.0, static_cast<double>(region.free_count()));
+  regions_.push_back(region);
 }
 
 }  // namespace v6::tga

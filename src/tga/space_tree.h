@@ -6,8 +6,13 @@
 // 6Graph on the minimum-entropy varying nybble. Leaves become generation
 // regions: a base pattern plus the set of free (varying) nybble
 // positions, enumerated odometer-style outward from the observed seeds.
+//
+// The build is flat: one index array is partitioned in place, node by
+// node, in the depth-first order a recursive split would visit them
+// (docs/ALGORITHMS.md).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -81,9 +86,13 @@ class RangeCursor {
 /// One leaf region of the space tree.
 struct TreeRegion {
   v6::net::Ipv6Addr base;   // representative seed with free nybbles zeroed
-  std::vector<int> free;    // varying nybble positions (ascending)
+  std::uint32_t free_mask = 0;  // bit p set: nybble p varies (is free)
   std::uint32_t seed_count = 0;
   double density = 0.0;     // seed_count / |region space|
+
+  /// The free nybble positions, ascending.
+  std::vector<int> free() const;
+  int free_count() const { return std::popcount(free_mask); }
 };
 
 class SpaceTree {
@@ -94,6 +103,8 @@ class SpaceTree {
     std::uint32_t max_leaf_seeds = 16;
     /// Cap on free dimensions per region (16^max_free addresses).
     int max_free = 6;
+
+    bool operator==(const Options&) const = default;
   };
 
   SpaceTree(std::span<const v6::net::Ipv6Addr> seeds, Options options);
@@ -105,8 +116,11 @@ class SpaceTree {
   std::size_t node_count() const { return node_count_; }
 
  private:
-  void build(std::span<const v6::net::Ipv6Addr> seeds,
-             std::vector<std::uint32_t> indices, int depth);
+  /// Appends the leaf of `seed_count` seeds whose first member is
+  /// `first` and whose varying positions are the nonzero nybbles of
+  /// `mask`.
+  void add_leaf(const v6::net::Ipv6Addr& first, const v6::net::Ipv6Addr& mask,
+                std::size_t seed_count);
 
   Options options_;
   std::vector<TreeRegion> regions_;

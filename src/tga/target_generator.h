@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "net/ipv6.h"
 #include "net/rng.h"
 #include "net/service.h"
+#include "tga/seed_trees.h"
+#include "tga/space_tree.h"
 
 namespace v6::dealias {
 class OnlineDealiaser;
@@ -67,6 +70,12 @@ class TargetGenerator {
     (void)dealiaser;
     (void)type;
   }
+
+  /// Space-tree generators take the whole-row trees they need from
+  /// `trees` on the next prepare(), if it is handed the span `trees` was
+  /// built over, instead of building their own. Borrowed until that
+  /// prepare() returns. Default: ignored.
+  virtual void attach_seed_trees(SeedTrees* trees) { (void)trees; }
 };
 
 /// Common bookkeeping shared by all concrete generators: the seed set,
@@ -82,8 +91,15 @@ class TargetGeneratorBase : public TargetGenerator {
     for (const v6::net::Ipv6Addr& s : seeds_) seed_set_.insert(s, 0);
     emitted_ = {};
     rng_ = v6::net::make_rng(rng_seed, v6::net::splitmix64(name().size()));
+    if (seed_trees_ != nullptr && !seed_trees_->built_over(seeds)) {
+      seed_trees_ = nullptr;
+    }
     reset_model();
+    seed_trees_ = nullptr;
+    own_tree_.reset();
   }
+
+  void attach_seed_trees(SeedTrees* trees) final { seed_trees_ = trees; }
 
  protected:
   /// Build the generator-specific model from seeds_ (already populated).
@@ -104,6 +120,14 @@ class TargetGeneratorBase : public TargetGenerator {
     return fresh;
   }
 
+  /// The space tree over seeds_ with `options`: the attached SeedTrees'
+  /// shared tree, or else one of the generator's own. Valid until
+  /// reset_model() returns; call it only from there.
+  const SpaceTree& seed_tree(const SpaceTree::Options& options) {
+    if (seed_trees_ != nullptr) return seed_trees_->get(options);
+    return own_tree_.emplace(seeds_, options);
+  }
+
   /// Appends `addr` to `out` if it is neither a seed nor already emitted.
   /// Returns true if appended.
   bool emit(const v6::net::Ipv6Addr& addr,
@@ -119,6 +143,10 @@ class TargetGeneratorBase : public TargetGenerator {
   v6::net::AddrIndexMap seed_set_;
   v6::net::AddrIndexMap emitted_;
   v6::net::Rng rng_;
+
+ private:
+  SeedTrees* seed_trees_ = nullptr;  // set only until prepare() returns
+  std::optional<SpaceTree> own_tree_;  // likewise
 };
 
 }  // namespace v6::tga

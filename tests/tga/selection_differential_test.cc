@@ -268,7 +268,7 @@ class LinearDet final : public TargetGeneratorBase {
                             .max_leaf_seeds = options_.max_leaf_seeds,
                             .max_free = options_.max_free});
     for (const TreeRegion& r : tree.regions()) {
-      regions_.push_back({RegionCursor(r.base, r.free),
+      regions_.push_back({RegionCursor(r.base, r.free()),
                           static_cast<double>(r.seed_count), 0, false});
     }
   }
@@ -401,7 +401,7 @@ class LinearSixHit final : public TargetGeneratorBase {
     }
     for (const TreeRegion& r : tree.regions()) {
       regions_.push_back(
-          {RegionCursor(r.base, r.free),
+          {RegionCursor(r.base, r.free()),
            0.2 + (max_density > 0 ? 0.3 * r.density / max_density : 0.0),
            false});
     }
@@ -542,9 +542,8 @@ std::vector<std::vector<std::uint32_t>> reference_clusters(
   CappedUnionFind uf(leaves.size());
   std::unordered_map<Key, Holder, KeyHash> first_with_key;
   for (std::uint32_t li = 0; li < leaves.size(); ++li) {
-    if (leaves[li].free.size() > 2) continue;
-    std::uint64_t free_mask = 0;
-    for (const int pos : leaves[li].free) free_mask |= 1ULL << pos;
+    if (leaves[li].free_count() > 2) continue;
+    const std::uint64_t free_mask = leaves[li].free_mask;
     for (int pos = 0; pos < Ipv6Addr::kNybbles; ++pos) {
       if (free_mask & (1ULL << pos)) continue;
       const Key key{leaves[li].base.with_nybble(pos, 0),
@@ -584,11 +583,10 @@ std::vector<TreeRegion> colliding_leaves(std::uint64_t seed,
       base = base.with_nybble(10, 1);
     }
     const int n_free = v6::net::uniform_int(rng, 0, 3);  // 3: not tight
-    for (int pos = 28; pos < 32 && static_cast<int>(leaf.free.size()) < n_free;
-         ++pos) {
-      if (v6::net::chance(rng, 0.5)) leaf.free.push_back(pos);
+    for (int pos = 28; pos < 32 && leaf.free_count() < n_free; ++pos) {
+      if (v6::net::chance(rng, 0.5)) leaf.free_mask |= 1u << pos;
     }
-    for (const int pos : leaf.free) base = base.with_nybble(pos, 0);
+    for (const int pos : leaf.free()) base = base.with_nybble(pos, 0);
     leaf.base = base;
     leaf.seed_count = static_cast<std::uint32_t>(v6::net::uniform_int(rng, 1, 16));
     leaves.push_back(std::move(leaf));

@@ -100,6 +100,13 @@ TEST(RangeCursor, WidenExhaustsAtFullRange) {
   EXPECT_FALSE(cursor.widen());
 }
 
+TEST(SpaceTree, RegionFreePositionsFollowMask) {
+  TreeRegion region;
+  region.free_mask = (1u << 31) | (1u << 3) | (1u << 17);
+  EXPECT_EQ(region.free(), (std::vector<int>{3, 17, 31}));
+  EXPECT_EQ(region.free_count(), 3);
+}
+
 TEST(SpaceTree, EmptySeedsYieldNoRegions) {
   const SpaceTree tree({}, {});
   EXPECT_TRUE(tree.regions().empty());
@@ -149,7 +156,7 @@ TEST(SpaceTree, CounterSubnetBecomesTightRegion) {
   const SpaceTree tree(seeds, {});
   bool found_tight = false;
   for (const TreeRegion& r : tree.regions()) {
-    if (r.free.size() <= 2 && r.seed_count >= 10) found_tight = true;
+    if (r.free_count() <= 2 && r.seed_count >= 10) found_tight = true;
   }
   EXPECT_TRUE(found_tight);
 }
@@ -162,7 +169,7 @@ TEST(SpaceTree, MaxFreeCapRespected) {
   }
   const SpaceTree tree(seeds, {.max_leaf_seeds = 200, .max_free = 4});
   for (const TreeRegion& r : tree.regions()) {
-    EXPECT_LE(r.free.size(), 4u);
+    EXPECT_LE(r.free_count(), 4);
   }
 }
 
