@@ -11,7 +11,7 @@
 #include "bench_common.h"
 #include "dealias/online_dealiaser.h"
 #include "dealias/sprt_dealiaser.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 
 using v6::metrics::fmt_count;
 using v6::metrics::fmt_percent;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     std::size_t limited_hits = 0;
     std::size_t limited_total = 0;
 
-    v6::probe::SimTransport transport(universe, 1234);
+    v6::probe::StatelessSimTransport transport(universe, 1234);
     v6::dealias::OnlineDealiaser dealiaser(transport, 1234, variant.options);
     v6::net::Rng rng(99);
 
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     std::size_t plain_total = 0;
     std::size_t limited_hits = 0;
     std::size_t limited_total = 0;
-    v6::probe::SimTransport transport(universe, 4321);
+    v6::probe::StatelessSimTransport transport(universe, 4321);
     v6::dealias::SprtDealiaser dealiaser(transport, 4321);
     v6::net::Rng rng(98);
     for (const auto& region : universe.alias_regions()) {

@@ -8,7 +8,8 @@
 
 #include "bench_common.h"
 #include "dealias/online_dealiaser.h"
-#include "probe/scanner.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 #include "probe/transport.h"
 #include "seeds/preprocess.h"
 #include "simnet/universe_builder.h"
@@ -41,9 +42,10 @@ int main(int argc, char** argv) {
     const auto collected = collector.collect_all();
     std::vector<Ipv6Addr> all(collected.addrs().begin(),
                               collected.addrs().end());
-    v6::probe::SimTransport transport(universe, 42);
-    v6::probe::Scanner scanner(transport, nullptr, {.seed = 42});
+    v6::probe::StreamScanner scanner(
+        universe, nullptr, v6::probe::StreamScanOptions{}.with_scan({.seed = 42}));
     const auto activity = v6::seeds::scan_activity(all, scanner);
+    v6::probe::StatelessSimTransport transport(universe, 42);
     v6::dealias::OnlineDealiaser online(transport, 42);
     v6::dealias::Dealiaser joint(v6::dealias::DealiasMode::kJoint,
                                  &alias_list, &online);
@@ -69,9 +71,9 @@ int main(int argc, char** argv) {
     }
 
     // How much of the day-0 hitlist still answers?
-    v6::probe::SimTransport check_transport(universe, 7 + epoch);
-    v6::probe::Scanner check_scanner(check_transport, nullptr,
-                                     {.seed = 7ull + epoch});
+    v6::probe::StreamScanner check_scanner(
+        universe, nullptr,
+        v6::probe::StreamScanOptions{}.with_scan({.seed = 7ull + epoch}));
     const auto activity = v6::seeds::scan_activity(day0, check_scanner);
     std::vector<Ipv6Addr> verified;
     for (const Ipv6Addr& addr : day0) {

@@ -14,9 +14,8 @@
 #include "net/prefix_trie.h"
 #include "net/rng.h"
 #include "obs/telemetry.h"
-#include "probe/instrumented_transport.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 #include "simnet/universe_builder.h"
 #include "tga/registry.h"
 #include "tga/space_tree.h"
@@ -188,8 +187,8 @@ BENCHMARK(BM_TgaGenerate)
 void BM_ScannerScan(benchmark::State& state) {
   const auto& universe = small_universe();
   const auto targets = sample_seeds(4096);
-  v6::probe::SimTransport transport(universe, 3);
-  v6::probe::Scanner scanner(transport, nullptr, {.seed = 3});
+  v6::probe::StreamScanner scanner(
+      universe, nullptr, v6::probe::StreamScanOptions{}.with_scan({.seed = 3}));
   for (auto _ : state) {
     auto result = scanner.scan_hits(targets, v6::net::ProbeType::kIcmp);
     benchmark::DoNotOptimize(result.hits.size());
@@ -199,8 +198,8 @@ void BM_ScannerScan(benchmark::State& state) {
 }
 BENCHMARK(BM_ScannerScan);
 
-// The instrumented-but-unsinked hot path: CountingTransport in the
-// chain, scanner telemetry attached, no event sink. The delta vs
+// The instrumented-but-unsinked hot path: scanner telemetry attached
+// (which puts a CountingTransport in the lane), no event sink. The delta vs
 // BM_ScannerScan is the per-packet observability overhead. Two tiers
 // (docs/OBSERVABILITY.md, "Cost model"): sinkless spans + scalar
 // counter tallies stay under the <2% bar; this bench additionally pays
@@ -214,11 +213,10 @@ void BM_ScannerScanInstrumented(benchmark::State& state) {
   const auto& universe = small_universe();
   const auto targets = sample_seeds(4096);
   v6::obs::Telemetry telemetry;
-  v6::probe::SimTransport sim_transport(universe, 3);
-  v6::probe::CountingTransport transport(sim_transport,
-                                         telemetry.registry());
-  v6::probe::Scanner scanner(transport, nullptr,
-                             {.seed = 3, .telemetry = &telemetry});
+  v6::probe::StreamScanner scanner(
+      universe, nullptr,
+      v6::probe::StreamScanOptions{}.with_scan(
+          {.seed = 3, .telemetry = &telemetry}));
   for (auto _ : state) {
     auto result = scanner.scan_hits(targets, v6::net::ProbeType::kIcmp);
     benchmark::DoNotOptimize(result.hits.size());
@@ -230,7 +228,7 @@ BENCHMARK(BM_ScannerScanInstrumented);
 
 void BM_OnlineDealiaser(benchmark::State& state) {
   const auto& universe = small_universe();
-  v6::probe::SimTransport transport(universe, 4);
+  v6::probe::StatelessSimTransport transport(universe, 4);
   const auto targets = sample_seeds(4096);
   std::size_t i = 0;
   v6::dealias::OnlineDealiaser dealiaser(transport, 4);

@@ -7,7 +7,7 @@
 
 #include "bench_common.h"
 #include "dealias/online_dealiaser.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 #include "dns/domain_lists.h"
 #include "dns/resolver.h"
 #include "seeds/collector.h"
@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const auto& activity = bench.activity();
 
   // One shared joint dealiaser so /96 verdicts are probed once.
-  v6::probe::SimTransport transport(universe, bench.seed() + 7);
+  v6::probe::StatelessSimTransport transport(universe, bench.seed() + 7);
   v6::dealias::OnlineDealiaser online(transport, bench.seed() + 7);
   v6::dealias::Dealiaser joint(v6::dealias::DealiasMode::kJoint,
                                &bench.alias_list(), &online);

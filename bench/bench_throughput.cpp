@@ -1,28 +1,22 @@
-// Throughput bench for the scan engines: batch Scanner vs the streaming
-// StreamScanner pipeline (docs/SCANNER.md) across shard counts.
+// Throughput bench for the scan engine (docs/SCANNER.md) across shard
+// counts.
 //
 // Measures probes/second over a deterministic target mix (hits, misses,
 // duplicates) drawn from a small simulated universe, and enforces the
 // engine contracts on every run — smoke or full:
 //
-//   * the streaming engine is bit-identical across shard counts
-//     (hits vector and every ScanStats field),
-//   * batch and stream agree on the deterministic pre-wire counters
-//     (targets / deduped / blocked / probed) — hit counts are NOT
-//     compared because the engines use different reply-RNG models,
+//   * the engine is bit-identical across shard counts (hits vector and
+//     every ScanStats field),
 //   * no reply ever fails stateless validation.
 //
-// On a single-core host a full (non --smoke) run additionally asserts
-// the 1-shard streaming per-probe cost stays within 5% of the batch
-// engine — the pipeline must not tax the sequential case. Multi-core
-// hosts skip that assertion (the bench then measures scaling, where
-// wall time depends on the scheduler).
-//
 // The run also measures the live introspection plane's cost: a 1-shard
-// stream pass with telemetry + flight recorder + armed watchdog attached
-// is interleaved against a plain pass and must stay bit-identical; the
+// pass with telemetry + flight recorder + armed watchdog attached is
+// interleaved against a plain pass and must stay bit-identical; the
 // overhead ratio lands in the JSON (entry `stream_instrumented`, design
-// bar <2%, gated at the same 1.05 noise floor on single-core hosts).
+// bar <2%). A full (non --smoke) run gates it at a 1.05 noise floor. The
+// 1-shard passes run with the bench's own process pinned to one CPU
+// (sched_setaffinity), so the gate compares like with like on any host;
+// the sharded passes run unpinned afterwards.
 //
 // Usage: bench_throughput [targets] [--jobs N] [--repeat N] [--smoke]
 // The positional budget is reinterpreted as the target-list length.
@@ -33,17 +27,16 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <sched.h>
 
 #include "bench_common.h"
 #include "net/ipv6.h"
 #include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 #include "obs/watchdog.h"
-#include "probe/scanner.h"
 #include "probe/stream_scanner.h"
-#include "probe/transport.h"
 #include "simnet/universe.h"
 #include "simnet/universe_builder.h"
 #include "simnet/universe_config.h"
@@ -136,58 +129,99 @@ int main(int argc, char** argv) {
     }
   };
 
-  // --- Batch engine vs 1-shard stream, interleaved ------------------------
-  // The two sides of the perf gate alternate within one loop so that the
-  // host's slow timing drift (VM clock/frequency wander) hits both
-  // equally; back-to-back blocks would bias whichever ran second.
-  std::vector<double> batch_samples;
-  std::vector<double> stream1_samples;
-  v6::probe::ScanResult batch_result;
-  v6::probe::ScanResult stream_baseline;
-  const auto run_pairs = [&](unsigned pairs) {
-    for (unsigned r = 0; r < pairs; ++r) {
-      {
-        v6::probe::SimTransport wire(universe, scan_options.seed);
-        v6::probe::Scanner scanner(wire, nullptr, scan_options);
-        const auto start = Clock::now();
-        batch_result = scanner.scan_hits(targets, v6::net::ProbeType::kIcmp);
-        batch_samples.push_back(seconds_since(start));
-      }
-      double sample = 0.0;
-      run_stream(1, &stream_baseline, &sample);
-      stream1_samples.push_back(sample);
-    }
-  };
   const auto min_of = [](const std::vector<double>& v) {
     return *std::min_element(v.begin(), v.end());
   };
-  run_pairs(args.repeat);
 
+  // --- 1-shard passes, pinned to one CPU ----------------------------------
+  // The bench pins its own process to the first CPU it may run on, so the
+  // plain and instrumented passes (and the watchdog's monitor thread)
+  // share one core whatever the host offers; the original mask comes back
+  // for the sharded passes below.
+  cpu_set_t original_cpus;
+  CPU_ZERO(&original_cpus);
+  bool pinned =
+      sched_getaffinity(0, sizeof(original_cpus), &original_cpus) == 0;
+  if (pinned) {
+    cpu_set_t one_cpu;
+    CPU_ZERO(&one_cpu);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &original_cpus)) {
+        CPU_SET(cpu, &one_cpu);
+        break;
+      }
+    }
+    pinned = sched_setaffinity(0, sizeof(one_cpu), &one_cpu) == 0;
+  }
+  if (!pinned) std::cerr << "bench_throughput: could not pin to one CPU\n";
+
+  // --- Introspection-plane overhead ---------------------------------------
+  // The live plane (telemetry registry + flight-recorder sink + an armed
+  // stall watchdog with its monitor thread) rides along a 1-shard pass.
+  // Design bar: under 2% per-probe overhead (docs/OBSERVABILITY.md "Live
+  // introspection"); the enforced gate is a 1.05 noise floor because
+  // shared-host wall noise dwarfs 2%. The two sides alternate within one
+  // loop so that the host's slow timing drift (VM clock/frequency wander)
+  // hits both equally; back-to-back blocks would bias whichever ran
+  // second.
+  std::vector<double> plain_samples;
+  std::vector<double> plane_samples;
+  v6::probe::ScanResult stream_baseline;
+  v6::probe::ScanResult plane_result;
+  const auto run_plane_pairs = [&](unsigned pairs) {
+    for (unsigned r = 0; r < pairs; ++r) {
+      double sample = 0.0;
+      run_stream(1, &stream_baseline, &sample);
+      plain_samples.push_back(sample);
+
+      v6::obs::Telemetry telemetry;
+      v6::obs::FlightRecorder recorder;
+      telemetry.attach_sink(&recorder);
+      v6::obs::StallWatchdog::Options wd;
+      wd.deadline_seconds = 30.0;
+      wd.registry = &telemetry.registry();
+      v6::obs::StallWatchdog watchdog(wd);
+      watchdog.start();
+      v6::probe::StreamScanner scanner(
+          universe, nullptr,
+          v6::probe::StreamScanOptions{}
+              .with_shards(1)
+              .with_batch(1024)
+              .with_scan(v6::probe::ScanOptions(scan_options)
+                             .with_telemetry(&telemetry))
+              .with_watchdog(&watchdog));
+      const auto start = Clock::now();
+      plane_result = scanner.scan_hits(targets, v6::net::ProbeType::kIcmp);
+      plane_samples.push_back(seconds_since(start));
+      watchdog.stop();
+      if (watchdog.tripped()) {
+        fail("watchdog tripped during a healthy bench pass");
+      }
+    }
+  };
   // Wall-clock noise on a shared host is one-sided — interference only
   // ever inflates a sample — so the floor over enough pairs estimates
   // the noise-free cost. Gate runs take up to two extra measurement
   // blocks before concluding the floor really moved.
   constexpr double kGateRatio = 1.05;
-  const bool single_core = std::thread::hardware_concurrency() <= 1;
-  if (!args.smoke && single_core) {
+  const bool gated = !args.smoke && pinned;
+  run_plane_pairs(args.repeat);
+  if (gated) {
     for (int block = 1;
-         block < 3 && min_of(stream1_samples) > kGateRatio * min_of(batch_samples);
+         block < 3 &&
+         min_of(plane_samples) > kGateRatio * min_of(plain_samples);
          ++block) {
-      run_pairs(args.repeat);
+      run_plane_pairs(args.repeat);
     }
   }
-  const double batch_wall = min_of(batch_samples);
-  const double stream1_wall = min_of(stream1_samples);
-  if (batch_result.stats.probed == 0) fail("batch engine probed nothing");
+  if (pinned &&
+      sched_setaffinity(0, sizeof(original_cpus), &original_cpus) != 0) {
+    fail("could not restore the CPU affinity mask");
+  }
+  if (stream_baseline.stats.probed == 0) fail("the scan probed nothing");
+  const double stream1_wall = min_of(plain_samples);
   timer.record_samples(
-      "batch", batch_samples,
-      {{"probes_per_second",
-        static_cast<double>(batch_result.stats.probed) / batch_wall},
-       {"shards", 0.0},
-       {"probed", static_cast<double>(batch_result.stats.probed)},
-       {"hits", static_cast<double>(batch_result.stats.hits)}});
-  timer.record_samples(
-      "stream_shards_1", stream1_samples,
+      "stream_shards_1", plain_samples,
       {{"probes_per_second",
         static_cast<double>(stream_baseline.stats.probed) / stream1_wall},
        {"shards", 1.0},
@@ -222,57 +256,6 @@ int main(int argc, char** argv) {
          {"hits", static_cast<double>(result.stats.hits)}});
   }
 
-  // --- Introspection-plane overhead ---------------------------------------
-  // The live plane (telemetry registry + flight-recorder sink + an armed
-  // stall watchdog with its monitor thread) rides along a 1-shard stream
-  // pass. Design bar: under 2% per-probe overhead (docs/OBSERVABILITY.md
-  // "Live introspection"); the enforced gate reuses the engine gate's
-  // 1.05 noise floor because shared-host wall noise dwarfs 2%. Pairs are
-  // interleaved again so clock drift hits both sides equally.
-  std::vector<double> plain_samples;
-  std::vector<double> plane_samples;
-  v6::probe::ScanResult plane_result;
-  const auto run_plane_pairs = [&](unsigned pairs) {
-    for (unsigned r = 0; r < pairs; ++r) {
-      double sample = 0.0;
-      v6::probe::ScanResult plain_result;
-      run_stream(1, &plain_result, &sample);
-      plain_samples.push_back(sample);
-
-      v6::obs::Telemetry telemetry;
-      v6::obs::FlightRecorder recorder;
-      telemetry.attach_sink(&recorder);
-      v6::obs::StallWatchdog::Options wd;
-      wd.deadline_seconds = 30.0;
-      wd.registry = &telemetry.registry();
-      v6::obs::StallWatchdog watchdog(wd);
-      watchdog.start();
-      v6::probe::StreamScanner scanner(
-          universe, nullptr,
-          v6::probe::StreamScanOptions{}
-              .with_shards(1)
-              .with_batch(1024)
-              .with_scan(v6::probe::ScanOptions(scan_options)
-                             .with_telemetry(&telemetry))
-              .with_watchdog(&watchdog));
-      const auto start = Clock::now();
-      plane_result = scanner.scan_hits(targets, v6::net::ProbeType::kIcmp);
-      plane_samples.push_back(seconds_since(start));
-      watchdog.stop();
-      if (watchdog.tripped()) {
-        fail("watchdog tripped during a healthy bench pass");
-      }
-    }
-  };
-  run_plane_pairs(args.repeat);
-  if (!args.smoke && single_core) {
-    for (int block = 1;
-         block < 3 &&
-         min_of(plane_samples) > kGateRatio * min_of(plain_samples);
-         ++block) {
-      run_plane_pairs(args.repeat);
-    }
-  }
   // Observation must never steer the scan: the instrumented pass is
   // bit-identical to the plain streaming baseline.
   if (plane_result.hits != stream_baseline.hits ||
@@ -289,45 +272,21 @@ int main(int argc, char** argv) {
        {"overhead_ratio", plane_ratio}});
   std::cerr << "introspection plane overhead ratio " << plane_ratio
             << " (design bar 1.02, gate 1.05)\n";
-  if (!args.smoke && single_core && plane_ratio > kGateRatio) {
+  if (gated && plane_ratio > kGateRatio) {
     timer.write();  // keep the failing run's trajectory on disk
     fail("introspection plane overhead exceeds the 1.05 gate (ratio " +
          std::to_string(plane_ratio) + "; design bar is 1.02)");
   }
 
-  // Engines share the deterministic pre-wire path: the same dedup,
-  // blocklist, and probe admission decisions. (Hit counts legitimately
-  // differ: batch draws replies from one sequential mt19937 stream,
-  // stream from per-(addr, attempt) splitmix64 streams.)
-  const v6::probe::ScanStats& b = batch_result.stats;
-  const v6::probe::ScanStats& s = stream_baseline.stats;
-  if (b.targets != s.targets || b.deduped != s.deduped ||
-      b.blocked != s.blocked || b.probed != s.probed) {
-    fail("batch and stream disagree on targets/deduped/blocked/probed");
-  }
-
-  // Single-core perf gate: the pipeline must not tax the sequential
-  // case. Only meaningful where both engines compete for one core.
-  const double batch_per_probe = batch_wall / static_cast<double>(b.probed);
-  const double stream_per_probe = stream1_wall / static_cast<double>(s.probed);
-  std::cerr << "per-probe: batch " << batch_per_probe * 1e9 << "ns, stream(1) "
-            << stream_per_probe * 1e9 << "ns, ratio "
-            << stream_per_probe / batch_per_probe << " ("
-            << batch_samples.size() << " pairs)\n";
-  if (!args.smoke && single_core) {
-    if (stream_per_probe > kGateRatio * batch_per_probe) {
-      timer.write();  // keep the failing run's trajectory on disk
-      fail("1-shard streaming per-probe cost exceeds batch by more than 5% "
-           "(ratio " + std::to_string(stream_per_probe / batch_per_probe) +
-           ", limit 1.05)");
-    }
+  if (gated) {
     std::cerr << "perf gate: OK (limit 1.05)\n";
   } else {
     std::cerr << "perf gate skipped ("
-              << (args.smoke ? "--smoke" : "multi-core host") << ")\n";
+              << (args.smoke ? "--smoke" : "could not pin to one CPU")
+              << ")\n";
   }
 
   std::cerr << "bench_throughput: OK (" << targets.size() << " targets, "
-            << b.probed << " probed)\n";
+            << stream_baseline.stats.probed << " probed)\n";
   return 0;
 }

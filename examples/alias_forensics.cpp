@@ -11,8 +11,8 @@
 #include "example_env.h"
 #include "experiment/workbench.h"
 #include "metrics/reporter.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 
 int main() {
   using v6::metrics::fmt_count;
@@ -44,8 +44,8 @@ int main() {
 
   // 2. Scan 2,000 addresses inside it: the hitrate looks like a gold
   //    mine, not like an alias.
-  v6::probe::SimTransport transport(universe, 99);
-  v6::probe::Scanner scanner(transport, nullptr, {.seed = 99});
+  v6::probe::StreamScanner scanner(
+      universe, nullptr, v6::probe::StreamScanOptions{}.with_scan({.seed = 99}));
   std::vector<Ipv6Addr> targets;
   v6::net::Rng rng(1);
   for (int i = 0; i < 2000; ++i) {
@@ -68,12 +68,12 @@ int main() {
     const Ipv6Addr probe_addr =
         v6::net::random_in_prefix(rng, suspect->prefix);
     {
-      v6::probe::SimTransport t(universe, 1000 + trial);
+      v6::probe::StatelessSimTransport t(universe, 1000 + trial);
       v6::dealias::OnlineDealiaser d(t, 1000 + trial);
       fixed_caught += d.is_aliased(probe_addr, ProbeType::kIcmp);
     }
     {
-      v6::probe::SimTransport t(universe, 1000 + trial);
+      v6::probe::StatelessSimTransport t(universe, 1000 + trial);
       v6::dealias::SprtDealiaser d(t, 1000 + trial);
       sprt_caught += d.is_aliased(probe_addr, ProbeType::kIcmp);
     }

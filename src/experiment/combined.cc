@@ -5,9 +5,10 @@
 
 #include "dealias/dealiaser.h"
 #include "dealias/online_dealiaser.h"
+#include "net/rng.h"
 #include "probe/instrumented_transport.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 
 namespace v6::experiment {
 
@@ -25,18 +26,24 @@ CombinedResult run_combined(
   result.per_generator.resize(generators.size());
 
   v6::obs::Span run_span(config.telemetry, "combined.run");
-  v6::probe::SimTransport sim_transport(universe, config.seed);
-  v6::probe::ProbeTransport* transport = &sim_transport;
+  // The scanner owns its stateless lane; the online dealiaser probes
+  // through a chain of its own over the same stateless wire model,
+  // seeded apart so a dealias probe never replays a scan probe's coin.
+  v6::probe::StatelessSimTransport dealias_wire(
+      universe, v6::net::derive_seed(config.seed, /*tag=*/0xDEA1));
+  v6::probe::ProbeTransport* transport = &dealias_wire;
   std::optional<v6::probe::CountingTransport> counting;
   if (config.telemetry != nullptr) {
     counting.emplace(*transport, config.telemetry->registry());
     transport = &*counting;
   }
-  v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
-                             {.max_retries = config.scan_retries,
-                              .max_pps = config.max_pps,
-                              .seed = config.seed,
-                              .telemetry = config.telemetry});
+  v6::probe::StreamScanner scanner(
+      universe, /*blocklist=*/nullptr,
+      v6::probe::StreamScanOptions{}.with_scan(
+          {.max_retries = config.scan_retries,
+           .max_pps = config.max_pps,
+           .seed = config.seed,
+           .telemetry = config.telemetry}));
   v6::dealias::OnlineDealiaser online(*transport, config.seed);
   v6::dealias::Dealiaser dealiaser(v6::dealias::DealiasMode::kJoint,
                                    &offline_aliases, &online);
@@ -135,7 +142,7 @@ CombinedResult run_combined(
     }
   }
 
-  result.packets = transport->packets_sent();
+  result.packets = transport->packets_sent() + scanner.packets_sent();
   for (auto& outcome : result.per_generator) {
     outcome.packets = result.packets;  // shared scan: same wire cost
     outcome.virtual_seconds = scanner.virtual_seconds();

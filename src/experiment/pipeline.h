@@ -42,15 +42,12 @@ struct PipelineConfig {
   /// Scanner retransmissions after timeout.
   int scan_retries = 1;
   double max_pps = 10'000.0;
-  /// Scan-engine selector. 0 (default) keeps the batch Scanner — the
-  /// golden-locked legacy path. >= 1 routes scans through the streaming
-  /// StreamScanner (probe/stream_scanner.h) with that many shard
-  /// workers: sharded cyclic iteration, stateless per-probe replies, and
-  /// one ordered merge after the shards join. Streaming outcomes
-  /// are shard-count-invariant but differ from the batch engine's for
-  /// targets whose replies are stochastic (different RNG model; see
-  /// docs/SCANNER.md).
-  int shards = 0;
+  /// Shard (prober thread) count of the scan engine
+  /// (probe/stream_scanner.h). 1 probes on the calling thread; more
+  /// split the permutation walk across that many probers with one
+  /// ordered merge after they join. Outcomes are identical for every
+  /// value when faults and adaptive backoff are off (docs/SCANNER.md).
+  int shards = 1;
   /// Optional do-not-scan list honored by the scanner (the paper had to
   /// retrofit blocklisting into 6Scan's scanner; here it is first-class).
   const v6::probe::Blocklist* blocklist = nullptr;
@@ -59,9 +56,11 @@ struct PipelineConfig {
   /// `pipeline.*` phase spans per batch, and threads telemetry into the
   /// scanner. Results are byte-identical with or without it.
   v6::obs::Telemetry* telemetry = nullptr;
-  /// Additionally emit one event per probe packet to the telemetry sink
-  /// (TracingTransport). Only honored when `telemetry` has a sink;
-  /// intended for `sos --trace` on small universes.
+  /// Additionally emit one event per probe packet — scan and dealias
+  /// probes alike — to the telemetry sink (TracingTransport). Only
+  /// honored when `telemetry` has a sink; intended for `sos --trace` on
+  /// small universes. With shards > 1 the probers' events interleave in
+  /// scheduling order.
   bool trace_probes = false;
   /// Optional fault-injection plan (borrowed; see fault/fault_plan.h).
   /// When non-null — even pointing at a disabled FaultPlan{} — probes
@@ -70,8 +69,7 @@ struct PipelineConfig {
   /// nullptr (ctest-asserted); null keeps the chain exactly as before.
   const v6::fault::FaultPlan* faults = nullptr;
   /// Robust-scanner knobs, forwarded verbatim to ScanOptions (see
-  /// probe/scanner.h for semantics). All default off, so fault-free
-  /// configs reproduce today's outcomes bit-for-bit.
+  /// probe/stream_scanner.h for semantics). All default off.
   double probe_timeout_s = 0.0;
   double retry_backoff_s = 0.0;
   double retry_jitter = 0.0;

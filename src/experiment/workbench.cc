@@ -3,9 +3,8 @@
 #include <unordered_set>
 
 #include "dealias/online_dealiaser.h"
-#include "probe/instrumented_transport.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 #include "runtime/thread_pool.h"
 #include "simnet/universe_builder.h"
 
@@ -39,17 +38,11 @@ Workbench::Workbench(WorkbenchConfig config)
   // Activity ground scan of the full dataset on all four probe types
   // (paper §5.3).
   v6::obs::Span span(config_.telemetry, "workbench.activity_scan");
-  v6::probe::SimTransport sim_transport(universe_, config_.seed);
-  v6::probe::ProbeTransport* transport = &sim_transport;
-  std::optional<v6::probe::CountingTransport> counting;
-  if (config_.telemetry != nullptr) {
-    counting.emplace(*transport, config_.telemetry->registry());
-    transport = &*counting;
-  }
-  v6::probe::Scanner scanner(*transport, /*blocklist=*/nullptr,
-                             {.max_retries = 1,
-                              .seed = config_.seed,
-                              .telemetry = config_.telemetry});
+  v6::probe::StreamScanner scanner(
+      universe_, /*blocklist=*/nullptr,
+      v6::probe::StreamScanOptions{}.with_scan({.max_retries = 1,
+                                                .seed = config_.seed,
+                                                .telemetry = config_.telemetry}));
   activity_ = v6::seeds::scan_activity(full_, scanner);
 }
 
@@ -62,7 +55,7 @@ const std::vector<Ipv6Addr>& Workbench::dealiased(
   std::call_once(dealiased_once_[slot], [&] {
     // A private transport per variant: the verdicts are a deterministic
     // function of (universe, seed) regardless of which thread runs this.
-    v6::probe::SimTransport transport(universe_, config_.seed + 1);
+    v6::probe::StatelessSimTransport transport(universe_, config_.seed + 1);
     v6::dealias::OnlineDealiaser online(transport, config_.seed + 1);
     v6::dealias::Dealiaser dealiaser(mode, &alias_list_, &online);
     dealiased_[slot] =

@@ -1,7 +1,7 @@
 // Deterministic fault-injection plans for the simulated wire.
 //
-// A FaultPlan describes network pathologies the idealized SimTransport
-// cannot express — probe loss, token-bucket ICMP rate limiting, transient
+// A FaultPlan describes network pathologies the idealized simulated wire
+// (StatelessSimTransport) cannot express — probe loss, token-bucket ICMP rate limiting, transient
 // outage windows, and spurious ICMPv6 errors — as pure data. The plan is
 // applied by FaultyTransport (faulty_transport.h), a ProbeTransport
 // decorator, so every fault draw comes from its own seeded RNG stream and

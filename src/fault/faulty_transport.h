@@ -1,14 +1,14 @@
 // FaultyTransport: applies a FaultPlan to every probe crossing a
 // ProbeTransport.
 //
-// Slots between SimTransport and the observability decorators
+// Slots between the simulated wire and the observability decorators
 // (CountingTransport / TracingTransport), so the instrumented layers see
 // exactly what a scanner on a lossy network would: dropped probes come
 // back as kTimeout without ever reaching the universe.
 //
 // Determinism: fault randomness comes from a private RNG derived from
-// (seed, 0xFA17) — a separate stream from SimTransport's (seed, 0x7A57)
-// — so enabling a fault never perturbs the universe's own reply draws,
+// (seed, 0xFA17) — separate from the wire's per-probe reply engines — so
+// enabling a fault never perturbs the universe's own reply draws,
 // and a fixed (plan, seed) pair replays bit-identically regardless of
 // --jobs. A disabled plan forwards every packet untouched and consumes
 // zero randomness: the decorated chain is byte-identical to the bare one.

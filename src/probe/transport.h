@@ -1,17 +1,15 @@
 // Probe transport abstraction.
 //
 // The scanner, the online dealiaser, and every online TGA emit probes
-// through a ProbeTransport. The shipped SimTransport targets the simulated
-// Internet; a raw-socket transport would slot in identically for live
-// scanning.
+// through a ProbeTransport. The shipped StatelessSimTransport
+// (stateless_transport.h) targets the simulated Internet; a raw-socket
+// transport would slot in identically for live scanning.
 #pragma once
 
 #include <cstdint>
 
 #include "net/ipv6.h"
-#include "net/rng.h"
 #include "net/service.h"
-#include "simnet/universe.h"
 
 namespace v6::probe {
 
@@ -43,39 +41,6 @@ class ProbeTransport {
   /// derived from the simulated wire clock, never a real one. Default 0
   /// for transports without a latency model.
   virtual std::uint64_t last_wire_nanos() const { return 0; }
-};
-
-/// Transport that probes a simulated Universe. Loss randomness (rate
-/// limited alias regions) is drawn from an internal deterministic RNG, so
-/// a fixed (universe, seed) pair replays identically.
-class SimTransport final : public ProbeTransport {
- public:
-  SimTransport(const v6::simnet::Universe& universe, std::uint64_t seed)
-      : universe_(&universe), rng_(v6::net::make_rng(seed, /*tag=*/0x7A57)) {}
-
-  v6::net::ProbeReply send(const v6::net::Ipv6Addr& addr,
-                           v6::net::ProbeType type) override {
-    ++packets_;
-    const v6::net::ProbeReply reply = universe_->probe(addr, type, rng_);
-    last_addr_ = addr;
-    last_replied_ = reply != v6::net::ProbeReply::kTimeout;
-    return reply;
-  }
-
-  std::uint64_t packets_sent() const override { return packets_; }
-
-  /// Lazily evaluated (a pure hash of the address, no RNG draw), so the
-  /// uninstrumented path pays only two stores per probe.
-  std::uint64_t last_wire_nanos() const override {
-    return last_replied_ ? v6::simnet::Universe::rtt_nanos(last_addr_) : 0;
-  }
-
- private:
-  const v6::simnet::Universe* universe_;
-  v6::net::Rng rng_;
-  std::uint64_t packets_ = 0;
-  v6::net::Ipv6Addr last_addr_;
-  bool last_replied_ = false;
 };
 
 }  // namespace v6::probe

@@ -3,7 +3,7 @@
 #include <unordered_map>
 
 #include "net/rng.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 #include "tga/det.h"
 
 namespace v6::seeds {
@@ -286,8 +286,8 @@ void SeedCollector::collect_addrminer(const SourceProfile& profile,
   // every responsive address it finds — without dealiasing.
   v6::tga::Det miner;
   miner.prepare(bootstrap, v6::net::derive_seed(seed_, 0xADD4));
-  v6::probe::SimTransport transport(*universe_,
-                                    v6::net::derive_seed(seed_, 0xADD5));
+  v6::probe::StatelessSimTransport transport(
+      *universe_, v6::net::derive_seed(seed_, 0xADD5));
   constexpr std::uint64_t kMinerBudget = 40'000;
   std::uint64_t generated = 0;
   while (generated < kMinerBudget) {

@@ -7,7 +7,7 @@ using v6::net::ProbeReply;
 using v6::net::ProbeType;
 
 ActivityMap scan_activity(std::span<const Ipv6Addr> addrs,
-                          v6::probe::Scanner& scanner) {
+                          v6::probe::StreamScanner& scanner) {
   ActivityMap activity;
   for (const ProbeType type : v6::net::kAllProbeTypes) {
     scanner.scan(addrs, type, [&](const Ipv6Addr& addr, ProbeReply reply) {

@@ -10,7 +10,7 @@
 #include "dealias/dealiaser.h"
 #include "net/ipv6.h"
 #include "net/service.h"
-#include "probe/scanner.h"
+#include "probe/stream_scanner.h"
 
 namespace v6::seeds {
 
@@ -49,7 +49,7 @@ class ActivityMap {
 /// responsiveness. Only positive replies (per the paper's hit rules)
 /// count.
 ActivityMap scan_activity(std::span<const v6::net::Ipv6Addr> addrs,
-                          v6::probe::Scanner& scanner);
+                          v6::probe::StreamScanner& scanner);
 
 /// Removes aliased addresses from `addrs` under `dealiaser`'s mode.
 /// `online_type` is the probe type used for online alias verification

@@ -63,10 +63,10 @@ class Universe {
 
   /// Answers one probe packet. `rng` supplies loss randomness for
   /// rate-limited regions; everything else is a deterministic function of
-  /// the address. Generic over the URBG so the sequential SimTransport
-  /// stream (net::Rng) and the streaming scanner's per-probe stateless
-  /// engines (net::SplitMixRng) share one reply model; the engine choice
-  /// only matters for the few regions that actually draw randomness.
+  /// the address. Generic over the URBG: the simulated wire passes a
+  /// per-probe stateless engine (net::SplitMixRng), tests and benches
+  /// may pass any other; the engine only matters for the few regions
+  /// that actually draw randomness.
   template <typename Urbg>
   v6::net::ProbeReply probe(const v6::net::Ipv6Addr& addr,
                             v6::net::ProbeType type, Urbg& rng) const;

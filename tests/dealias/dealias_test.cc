@@ -4,7 +4,7 @@
 #include "dealias/dealiaser.h"
 #include "dealias/online_dealiaser.h"
 #include "net/rng.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 #include "testutil/fixtures.h"
 
 namespace v6::dealias {
@@ -52,7 +52,7 @@ class OnlineDealiaserTest : public ::testing::Test {
     return nullptr;
   }
 
-  v6::probe::SimTransport transport_;
+  v6::probe::StatelessSimTransport transport_;
   OnlineDealiaser dealiaser_;
 };
 
@@ -116,7 +116,7 @@ TEST_F(OnlineDealiaserTest, RateLimitedRegionsOftenEvade) {
       continue;
     }
     // Each region: fresh dealiaser to avoid cache interference.
-    v6::probe::SimTransport transport(universe, 1000 + tested);
+    v6::probe::StatelessSimTransport transport(universe, 1000 + tested);
     OnlineDealiaser dealiaser(transport, 1000 + tested);
     const Ipv6Addr addr = v6::net::random_in_prefix(rng, region.prefix);
     if (!dealiaser.is_aliased(addr, ProbeType::kIcmp)) ++evaded;
@@ -146,7 +146,7 @@ TEST(Dealiaser, OfflineModeUsesListOnly) {
 TEST(Dealiaser, JointCatchesUnpublishedAliases) {
   const auto& universe = small_universe();
   const AliasList published = AliasList::published_from(universe);
-  v6::probe::SimTransport transport(universe, 55);
+  v6::probe::StatelessSimTransport transport(universe, 55);
   OnlineDealiaser online(transport, 55);
   Dealiaser joint(DealiasMode::kJoint, &published, &online);
 
@@ -166,7 +166,7 @@ TEST(Dealiaser, JointCatchesUnpublishedAliases) {
 TEST(Dealiaser, OfflineCheckAvoidsProbes) {
   const auto& universe = small_universe();
   const AliasList published = AliasList::published_from(universe);
-  v6::probe::SimTransport transport(universe, 56);
+  v6::probe::StatelessSimTransport transport(universe, 56);
   OnlineDealiaser online(transport, 56);
   Dealiaser joint(DealiasMode::kJoint, &published, &online);
 

@@ -5,7 +5,7 @@
 #include "dealias/online_dealiaser.h"
 
 #include "net/rng.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 #include "testutil/fixtures.h"
 
 namespace v6::dealias {
@@ -16,7 +16,7 @@ using v6::net::ProbeType;
 using v6::testutil::small_universe;
 
 TEST(SprtDealiaser, DetectsPlainAliasRegions) {
-  v6::probe::SimTransport transport(small_universe(), 11);
+  v6::probe::StatelessSimTransport transport(small_universe(), 11);
   SprtDealiaser dealiaser(transport, 11);
   v6::net::Rng rng(1);
   int tested = 0;
@@ -34,7 +34,7 @@ TEST(SprtDealiaser, DetectsPlainAliasRegions) {
 }
 
 TEST(SprtDealiaser, CleanSpaceNotFlagged) {
-  v6::probe::SimTransport transport(small_universe(), 12);
+  v6::probe::StatelessSimTransport transport(small_universe(), 12);
   SprtDealiaser dealiaser(transport, 12);
   int tested = 0;
   for (const auto& host : small_universe().hosts()) {
@@ -48,7 +48,7 @@ TEST(SprtDealiaser, CleanSpaceNotFlagged) {
 TEST(SprtDealiaser, AdaptiveCostCheapOnObviousAliases) {
   // An always-responsive region should be decided in only a couple of
   // probes; clean space takes more (the cost of the low-alpha target).
-  v6::probe::SimTransport transport(small_universe(), 13);
+  v6::probe::StatelessSimTransport transport(small_universe(), 13);
   SprtDealiaser dealiaser(transport, 13);
   v6::net::Rng rng(2);
   const v6::simnet::AliasRegion* plain = nullptr;
@@ -66,7 +66,7 @@ TEST(SprtDealiaser, AdaptiveCostCheapOnObviousAliases) {
 }
 
 TEST(SprtDealiaser, VerdictsCachedPerPrefix) {
-  v6::probe::SimTransport transport(small_universe(), 14);
+  v6::probe::StatelessSimTransport transport(small_universe(), 14);
   SprtDealiaser dealiaser(transport, 14);
   const Ipv6Addr a = small_universe().hosts()[0].addr;
   const Ipv6Addr b(a.hi(), a.lo() ^ 1);
@@ -93,12 +93,12 @@ TEST(SprtDealiaser, BeatsFixedDesignOnRateLimitedRegions) {
     ++total;
     const Ipv6Addr addr = v6::net::random_in_prefix(rng, region.prefix);
     {
-      v6::probe::SimTransport transport(universe, 100 + total);
+      v6::probe::StatelessSimTransport transport(universe, 100 + total);
       SprtDealiaser sprt(transport, 100 + total);
       sprt_detect += sprt.is_aliased(addr, ProbeType::kIcmp);
     }
     {
-      v6::probe::SimTransport transport(universe, 100 + total);
+      v6::probe::StatelessSimTransport transport(universe, 100 + total);
       OnlineDealiaser fixed(transport, 100 + total);
       fixed_detect += fixed.is_aliased(addr, ProbeType::kIcmp);
     }

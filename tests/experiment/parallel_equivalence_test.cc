@@ -102,6 +102,54 @@ TEST(ParallelEquivalence, TelemetryDoesNotPerturbOutcomes) {
   EXPECT_GT(sink.size(), 0u);
 }
 
+// Per-packet tracing follows the scan: with trace_probes on, every
+// packet of a run — the scanner's lanes and the online dealiaser's
+// chain alike — emits one kProbe event, and the event stream (address,
+// type and reply; timestamps are wall clock) is identical for every
+// jobs count.
+TEST(ParallelEquivalence, ProbeEventsCoverEveryPacketAndAreJobsInvariant) {
+  const auto& universe = v6::testutil::small_universe();
+  std::vector<Ipv6Addr> seeds;
+  const auto hosts = universe.hosts();
+  for (std::size_t i = 0; i < hosts.size(); i += 9) {
+    seeds.push_back(hosts[i].addr);
+  }
+  const auto alias_list = v6::dealias::AliasList::published_from(universe);
+  PipelineConfig config;
+  config.budget = 4'000;
+  config.trace_probes = true;
+  const std::array<v6::tga::TgaKind, 2> kinds = {v6::tga::TgaKind::kSixTree,
+                                                 v6::tga::TgaKind::kDet};
+
+  auto run = [&](unsigned jobs, std::uint64_t* packets) {
+    v6::obs::Telemetry telemetry;
+    v6::obs::MemorySink sink;
+    telemetry.attach_sink(&sink);
+    const auto runs = ScanSession(universe, alias_list)
+                          .with_kinds(kinds)
+                          .with_seeds(seeds)
+                          .with_config(config)
+                          .with_telemetry(&telemetry)
+                          .with_jobs(jobs)
+                          .sweep();
+    *packets = 0;
+    for (const auto& r : runs) *packets += r.outcome.packets;
+    std::vector<std::string> probes;
+    for (const v6::obs::Event& event : sink.events()) {
+      if (event.kind != v6::obs::Event::Kind::kProbe) continue;
+      probes.push_back(event.path + " " + event.detail);
+    }
+    return probes;
+  };
+  std::uint64_t packets_1 = 0, packets_2 = 0;
+  const auto one = run(1, &packets_1);
+  const auto two = run(2, &packets_2);
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(one.size(), packets_1) << "one kProbe event per packet";
+  EXPECT_EQ(packets_1, packets_2);
+  EXPECT_EQ(one, two);
+}
+
 // The merged telemetry of a sweep — counter values and the order of
 // trace event paths — is identical for jobs=1 and jobs>1: per-run
 // registries and event buffers are folded in slot order, so thread

@@ -1,8 +1,9 @@
-// FaultyTransport fault semantics and the robust-scanner path: timeout
-// charging, exponential backoff + jitter, adaptive per-prefix backoff,
-// and monotonic hit recovery as loss drops.
+// FaultyTransport fault semantics and the scan engine's robust path:
+// timeout charging, exponential backoff + jitter, adaptive per-prefix
+// backoff, and monotonic hit recovery as loss drops.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -10,8 +11,8 @@
 #include "net/prefix.h"
 #include "net/rng.h"
 #include "net/service.h"
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
+#include "probe/stream_scanner.h"
 #include "testutil/fixtures.h"
 
 namespace v6::fault {
@@ -22,8 +23,8 @@ using v6::net::Prefix;
 using v6::net::ProbeReply;
 using v6::net::ProbeType;
 using v6::probe::ScanOptions;
-using v6::probe::Scanner;
 using v6::probe::ScanStats;
+using v6::probe::StreamScanner;
 
 /// A wire where every host answers: isolates the fault plane's behavior
 /// from universe reply logic.
@@ -60,6 +61,49 @@ std::vector<Ipv6Addr> targets_n(std::uint64_t count) {
   std::vector<Ipv6Addr> targets;
   for (std::uint64_t i = 0; i < count; ++i) targets.push_back(addr_n(i + 1));
   return targets;
+}
+
+/// A wire, optionally behind a fault injector, owned as one lane
+/// transport: what the robust-scanner cases install in place of the
+/// simulated universe.
+template <typename Wire>
+class FaultedWire final : public v6::probe::ProbeTransport {
+ public:
+  FaultedWire(const FaultPlan* plan, std::uint64_t seed) {
+    if (plan != nullptr) {
+      faulty_ = std::make_unique<FaultyTransport>(wire_, *plan, seed);
+    }
+  }
+  ProbeReply send(const Ipv6Addr& addr, ProbeType type) override {
+    return top().send(addr, type);
+  }
+  std::uint64_t packets_sent() const override {
+    return faulty_ ? faulty_->packets_sent() : wire_.packets_sent();
+  }
+  void advance(double seconds) override { top().advance(seconds); }
+
+ private:
+  v6::probe::ProbeTransport& top() {
+    if (faulty_) return *faulty_;
+    return wire_;
+  }
+  Wire wire_;
+  std::unique_ptr<FaultyTransport> faulty_;
+};
+
+/// Scans `targets` on ICMP with a one-shard scanner whose lane is a
+/// fresh `Wire`, behind `plan`'s injector when a plan is given.
+template <typename Wire>
+ScanStats scan_through(std::size_t targets, const ScanOptions& options,
+                       const FaultPlan* plan = nullptr,
+                       std::uint64_t fault_seed = 0) {
+  StreamScanner scanner(
+      v6::testutil::small_universe(), nullptr,
+      v6::probe::StreamScanOptions{}.with_scan(options).with_decorator(
+          [plan, fault_seed](v6::probe::ProbeTransport&, unsigned) {
+            return std::make_unique<FaultedWire<Wire>>(plan, fault_seed);
+          }));
+  return scanner.scan(targets_n(targets), ProbeType::kIcmp, nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -188,9 +232,8 @@ TEST(FaultyTransport, LossRulesComposeAndRespectScope) {
 }
 
 TEST(FaultyTransport, DisabledPlanIsBytePerfectPassThrough) {
-  // Satellite (c) at the transport level: a FaultPlan{} decorator must
-  // reproduce the bare SimTransport's reply stream exactly — same RNG
-  // consumption, same replies, same packet count.
+  // At the transport level, a FaultPlan{} decorator must reproduce the
+  // bare wire's replies exactly — same replies, same packet count.
   const auto& universe = v6::testutil::small_universe();
   std::vector<Ipv6Addr> probes;
   for (const auto& host : universe.hosts()) {
@@ -200,8 +243,8 @@ TEST(FaultyTransport, DisabledPlanIsBytePerfectPassThrough) {
   const FaultPlan disabled;
   ASSERT_FALSE(disabled.enabled());
 
-  v6::probe::SimTransport bare(universe, /*seed=*/9);
-  v6::probe::SimTransport inner(universe, /*seed=*/9);
+  v6::probe::StatelessSimTransport bare(universe, /*seed=*/9);
+  v6::probe::StatelessSimTransport inner(universe, /*seed=*/9);
   FaultyTransport decorated(inner, disabled, /*seed=*/9);
   for (const Ipv6Addr& addr : probes) {
     EXPECT_EQ(bare.send(addr, ProbeType::kIcmp),
@@ -215,45 +258,34 @@ TEST(FaultyTransport, DisabledPlanIsBytePerfectPassThrough) {
 // ---------------------------------------------------------------------
 
 TEST(RobustScanner, ProbeTimeoutChargesVirtualTime) {
-  AlwaysDownTransport transport;
-  Scanner scanner(transport, nullptr,
-                  ScanOptions{}
-                      .with_retries(0)
-                      .with_max_pps(1000.0)
-                      .with_probe_timeout(0.5));
-  const auto targets = targets_n(4);
-  const ScanStats stats = scanner.scan(targets, ProbeType::kIcmp, nullptr);
+  const ScanStats stats = scan_through<AlwaysDownTransport>(
+      4, ScanOptions{}.with_retries(0).with_max_pps(1000.0).with_probe_timeout(
+             0.5));
   EXPECT_EQ(stats.timeouts, 4u);
-  // Each probe waits 0.5 s for the reply that never comes; the pacing
-  // gap (1/1000 s) is absorbed by the wait, which also credits the rate
-  // limiter.
+  // Each probe waits 0.5 s for the reply that never comes, on top of the
+  // 1/1000 s emission time per packet.
   EXPECT_GE(stats.virtual_seconds, 4 * 0.5);
   EXPECT_NEAR(stats.virtual_seconds, 4 * 0.5, 0.01);
 }
 
 TEST(RobustScanner, ExponentialBackoffAccounting) {
-  AlwaysDownTransport transport;
-  Scanner scanner(transport, nullptr,
-                  ScanOptions{}.with_retries(3).with_retry_backoff(1.0));
-  const auto targets = targets_n(2);
-  const ScanStats stats = scanner.scan(targets, ProbeType::kIcmp, nullptr);
+  const ScanStats stats = scan_through<AlwaysDownTransport>(
+      2, ScanOptions{}.with_retries(3).with_retry_backoff(1.0));
   // Per target: waits of 1, 2, 4 seconds before retries 1..3.
   EXPECT_EQ(stats.retransmissions, 6u);
   EXPECT_EQ(stats.backoffs, 6u);
   EXPECT_NEAR(stats.backoff_seconds, 2 * (1.0 + 2.0 + 4.0), 1e-9);
-  EXPECT_EQ(transport.packets_sent(), 8u);  // 2 targets x 4 attempts
+  EXPECT_EQ(stats.packets, 8u);  // 2 targets x 4 attempts
 }
 
 TEST(RobustScanner, JitterIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
-    AlwaysDownTransport transport;
-    Scanner scanner(transport, nullptr,
-                    ScanOptions{}
-                        .with_seed(seed)
-                        .with_retries(2)
-                        .with_retry_backoff(1.0, /*jitter=*/0.5));
-    const auto targets = targets_n(8);
-    return scanner.scan(targets, ProbeType::kIcmp, nullptr).backoff_seconds;
+    return scan_through<AlwaysDownTransport>(
+               8, ScanOptions{}
+                      .with_seed(seed)
+                      .with_retries(2)
+                      .with_retry_backoff(1.0, /*jitter=*/0.5))
+        .backoff_seconds;
   };
   EXPECT_DOUBLE_EQ(run(9), run(9));  // same seed: bit-identical waits
   EXPECT_NE(run(9), run(10));        // jitter actually draws per seed
@@ -268,11 +300,9 @@ TEST(RobustScanner, AdaptiveBackoffRecoversRateLimitedPrefix) {
       FaultPlan{}.with_rate_limit(Prefix{}, /*rate=*/50.0, /*burst=*/5.0)
           .with_wire_pps(10'000.0);
   const auto run = [&](const ScanOptions& options) {
-    AlwaysUpTransport inner;
-    FaultyTransport transport(inner, plan, /*seed=*/3);
-    Scanner scanner(transport, nullptr, options);
-    const auto targets = targets_n(100);
-    return scanner.scan(targets, ProbeType::kIcmp, nullptr).hits;
+    return scan_through<AlwaysUpTransport>(100, options, &plan,
+                                           /*fault_seed=*/3)
+        .hits;
   };
   const std::uint64_t naive = run(ScanOptions{}.with_retries(0));
   const std::uint64_t adaptive = run(ScanOptions{}
@@ -286,17 +316,15 @@ TEST(RobustScanner, AdaptiveBackoffRecoversRateLimitedPrefix) {
 }
 
 TEST(RobustScanner, RetriesMonotonicallyRecoverHitsAsLossDrops) {
-  // Satellite (b) at the scanner level: sweep the loss grid under both
-  // retry policies; hits must not decrease as loss drops, and the
-  // retrying scanner must dominate at every nonzero loss point.
+  // Sweep the loss grid under both retry policies; hits must not
+  // decrease as loss drops, and the retrying scanner must dominate at
+  // every nonzero loss point.
   const auto run = [](double loss, int retries) {
-    AlwaysUpTransport inner;
     const FaultPlan plan = FaultPlan{}.with_base_loss(loss);
-    FaultyTransport transport(inner, plan, /*seed=*/5);
-    Scanner scanner(transport, nullptr,
-                    ScanOptions{}.with_seed(5).with_retries(retries));
-    const auto targets = targets_n(2000);
-    return scanner.scan(targets, ProbeType::kIcmp, nullptr).hits;
+    return scan_through<AlwaysUpTransport>(
+               2000, ScanOptions{}.with_seed(5).with_retries(retries), &plan,
+               /*fault_seed=*/5)
+        .hits;
   };
   const std::vector<double> losses = {0.6, 0.3, 0.1, 0.0};
   std::uint64_t prev_naive = 0, prev_robust = 0;
@@ -317,9 +345,9 @@ TEST(RobustScanner, RetriesMonotonicallyRecoverHitsAsLossDrops) {
 }
 
 TEST(RobustScanner, DefaultOptionsDrawNoExtraRandomness) {
-  // Two scanners over the same universe seed, one constructed with the
-  // robust knobs all explicitly zero, must replay identically — the
-  // robust path may not perturb the legacy RNG streams when disabled.
+  // A scanner constructed with the robust knobs all explicitly zero must
+  // replay a default one exactly: the robust path may not perturb the
+  // reply or jitter streams when disabled.
   const auto& universe = v6::testutil::small_universe();
   std::vector<Ipv6Addr> probes;
   for (const auto& host : universe.hosts()) {
@@ -327,17 +355,17 @@ TEST(RobustScanner, DefaultOptionsDrawNoExtraRandomness) {
     if (probes.size() == 400) break;
   }
   const auto run = [&](const ScanOptions& options) {
-    v6::probe::SimTransport transport(universe, /*seed=*/11);
-    Scanner scanner(transport, nullptr, options);
+    StreamScanner scanner(universe, nullptr,
+                          v6::probe::StreamScanOptions{}.with_scan(options));
     return scanner.scan_hits(probes, ProbeType::kIcmp).hits;
   };
-  const auto legacy = run(ScanOptions{}.with_seed(11));
+  const auto plain = run(ScanOptions{}.with_seed(11));
   const auto robust_zeroed = run(ScanOptions{}
                                      .with_seed(11)
                                      .with_probe_timeout(0.0)
                                      .with_retry_backoff(0.0, 0.0)
                                      .with_adaptive_backoff(0, 0.0));
-  EXPECT_EQ(legacy, robust_zeroed);
+  EXPECT_EQ(plain, robust_zeroed);
 }
 
 }  // namespace

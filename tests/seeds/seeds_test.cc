@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "probe/scanner.h"
-#include "probe/transport.h"
+#include "probe/stream_scanner.h"
 #include "seeds/collector.h"
 #include "seeds/overlap.h"
 #include "seeds/preprocess.h"
@@ -157,8 +156,9 @@ TEST(Preprocess, ScanActivityMatchesGroundTruth) {
     addrs.push_back(host.addr);
     if (addrs.size() >= 3000) break;
   }
-  v6::probe::SimTransport transport(universe, 9);
-  v6::probe::Scanner scanner(transport, nullptr, {.max_retries = 1, .seed = 9});
+  v6::probe::StreamScanner scanner(
+      universe, nullptr,
+      v6::probe::StreamScanOptions{}.with_scan({.max_retries = 1, .seed = 9}));
   const ActivityMap activity = scan_activity(addrs, scanner);
   for (const Ipv6Addr& a : addrs) {
     const auto* host = universe.host(a);

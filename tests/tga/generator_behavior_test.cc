@@ -5,7 +5,7 @@
 
 #include "dealias/online_dealiaser.h"
 #include "net/rng.h"
-#include "probe/transport.h"
+#include "probe/stateless_transport.h"
 #include "tga/registry.h"
 #include "testutil/fixtures.h"
 
@@ -94,7 +94,7 @@ TEST(SixSenseBehavior, IntegratedDealiasingReducesAliasedOutput) {
   auto run = [&](bool attach) {
     auto generator = make_generator(TgaKind::kSixSense);
     generator->prepare(seeds, 42);
-    v6::probe::SimTransport transport(universe, 9);
+    v6::probe::StatelessSimTransport transport(universe, 9);
     v6::dealias::OnlineDealiaser online(transport, 9);
     if (attach) {
       generator->attach_online_dealiaser(&online, ProbeType::kIcmp);
