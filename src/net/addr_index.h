@@ -99,14 +99,6 @@ class AddrIndexMap {
   }
 
   bool contains(const Ipv6Addr& addr) const { return find(addr) != nullptr; }
-
-  /// Empties the map but keeps the allocated table, so scratch maps
-  /// reused across scan batches (Scanner/StreamScanner dedup) reach a
-  /// steady state with no per-batch allocation.
-  void clear() {
-    for (Slot& slot : slots_) slot.used = false;
-    size_ = 0;
-  }
 };
 
 }  // namespace v6::net

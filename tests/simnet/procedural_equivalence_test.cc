@@ -246,6 +246,40 @@ TEST_P(ProceduralEquivalenceTest, StatelessTransportParity) {
   EXPECT_EQ(ta.packets_sent(), tb.packets_sent());
 }
 
+TEST_P(ProceduralEquivalenceTest, StatelessRetriesMatchFreshEngines) {
+  // The transport answers a retry from the previous reply when that
+  // reply drew no coin. Every send must still equal the reply of a
+  // fresh engine keyed by (seed, addr, attempt).
+  const UniverseConfig cfg = config();
+  const Universe u = UniverseBuilder::build(cfg);
+  const std::vector<Ipv6Addr> targets = probe_targets(u, cfg.seed);
+  const std::uint64_t base = v6::net::derive_seed(99, /*tag=*/0x57A7E);
+  constexpr int kSends = 3;
+
+  v6::probe::StatelessSimTransport transport(u, /*seed=*/99);
+  std::uint64_t changed_on_retry = 0;
+  for (const ProbeType type : v6::net::kAllProbeTypes) {
+    for (const Ipv6Addr& addr : targets) {
+      transport.reset();
+      ProbeReply first = ProbeReply::kTimeout;
+      for (int attempt = 0; attempt < kSends; ++attempt) {
+        v6::net::SplitMixRng fresh(v6::probe::stateless_key(
+            base, addr, static_cast<std::uint64_t>(attempt)));
+        const ProbeReply reply = transport.send(addr, type);
+        ASSERT_EQ(reply, u.probe(addr, type, fresh))
+            << "attempt " << attempt << ", type " << static_cast<int>(type);
+        if (attempt == 0) first = reply;
+        if (reply != first) ++changed_on_retry;
+      }
+    }
+  }
+  EXPECT_EQ(transport.packets_sent(),
+            targets.size() * v6::net::kAllProbeTypes.size() * kSends);
+  // The faulted universe's rate-limited hosts answer retries with
+  // independent coins, so some retries must reply differently there.
+  if (GetParam()) EXPECT_GT(changed_on_retry, 0u);
+}
+
 TEST(ProceduralDeterminismTest, RebuildIsBitIdentical) {
   const UniverseConfig cfg = base_config();
   const Universe a = UniverseBuilder::build(cfg);
